@@ -2,7 +2,7 @@
 differential-evolution block matching with fitness estimation."""
 
 from .baselines import ds_search, tss_search
-from .de import Bounds, Candidate, DeParams, RunTrace
+from .de import Candidate, DeParams, RunTrace
 from .estimator import EvaluationRecord, HistoryStore, Rule, StrategyParams
 from .metrics import (
     FrameOutcome,
@@ -29,6 +29,7 @@ from .motion import (
     initial_pattern,
     partition,
     sad,
+    search_block,
 )
 from .video_io import (
     FormatError,

@@ -12,11 +12,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .baselines import ds_search, tss_search
 from .de import DeParams
 from .metrics import (
     FrameOutcome,
@@ -32,10 +30,9 @@ from .motion import (
     SearchConfig,
     SearchProbe,
     compensate,
-    debm_search,
     estimate_frame,
-    full_search,
     partition,
+    search_block,
 )
 from .video_io import (
     SequenceSource,
@@ -347,21 +344,11 @@ def cmd_trace(args) -> int:
                 f"block ({x}, {y}) is not on the partition grid; valid x: "
                 f"{xs}, valid y: {ys}"
             )
-        index = anchors[(x, y)]
-        block = BlockRef(x, y, config.n)
         probe = SearchProbe()
-        if args.algo == "fsa":
-            result = full_search(current, previous, block, config.w, probe)
-        elif args.algo == "debm":
-            # Match the per-block seed derivation of a full run.
-            block_config = replace(
-                config, de=replace(config.de, rng_seed=config.de.rng_seed ^ index)
-            )
-            result = debm_search(current, previous, block, block_config, probe)
-        elif args.algo == "tss":
-            result = tss_search(current, previous, block, config.w, probe)
-        else:
-            result = ds_search(current, previous, block, config.w, probe)
+        result = search_block(
+            args.algo, current, previous, BlockRef(x, y, config.n), config,
+            anchors[(x, y)], probe,
+        )
 
         document = {
             "algorithm": args.algo,

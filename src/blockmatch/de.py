@@ -1,10 +1,11 @@
 """Differential evolution with best/1 mutation and binomial crossover.
 
-The optimizer minimizes over a bounded real-valued search space of any
-dimension. Fitness values come from a pluggable provider so callers can
-substitute estimated values for true evaluations; the provider reports,
-per request, whether the value was truly evaluated or estimated, and the
-run trace keeps that distinction for later accounting.
+The optimizer minimizes over a real-valued search space of any dimension,
+starting from a given set of seed positions, one individual per seed.
+Fitness values come from a pluggable provider so callers can substitute
+estimated values for true evaluations; the provider reports, per request,
+whether the value was truly evaluated or estimated, and the run trace
+keeps that distinction for later accounting.
 """
 
 import random
@@ -16,7 +17,6 @@ Position = tuple[float, ...]
 # Fitness provenance tags shared across the package.
 EVALUATED = "evaluated"
 ESTIMATED = "estimated"
-UNSET = "unset"
 
 # A fitness provider maps a position to (value, kind) where kind is
 # EVALUATED or ESTIMATED.
@@ -34,8 +34,6 @@ class DeParams:
 
     f: mutation scale factor, positive and at most 2.
     cr: crossover rate in [0, 1].
-    population_size: number of individuals, at least 4 so the best vector
-        plus two mutation partners distinct from the target always exist.
     generations: number of mutate/crossover/select rounds, at least 1.
     rng_seed: seed for all stochastic decisions; identical seeds and
         inputs give bitwise-identical runs.
@@ -43,7 +41,6 @@ class DeParams:
 
     f: float = 0.25
     cr: float = 0.8
-    population_size: int = 5
     generations: int = 7
     rng_seed: int = 0
 
@@ -52,36 +49,8 @@ class DeParams:
             raise ValueError(f"mutation factor must be in (0, 2], got {self.f}")
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError(f"crossover rate must be in [0, 1], got {self.cr}")
-        if self.population_size < 4:
-            raise ValueError(
-                f"population size must be at least 4, got {self.population_size}"
-            )
         if self.generations < 1:
             raise ValueError(f"generations must be positive, got {self.generations}")
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Axis-aligned box constraints, one (low, high) pair per dimension."""
-
-    low: Position
-    high: Position
-
-    def __post_init__(self):
-        if len(self.low) != len(self.high):
-            raise ValueError("bound vectors differ in dimension")
-        for lo, hi in zip(self.low, self.high):
-            if lo > hi:
-                raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.low)
-
-    def contains(self, position: Position) -> bool:
-        return all(
-            lo <= x <= hi for x, lo, hi in zip(position, self.low, self.high)
-        )
 
 
 @dataclass
@@ -90,11 +59,6 @@ class Candidate:
 
     position: Position
     fitness: float | None = None
-    fitness_kind: str = UNSET
-
-    def __post_init__(self):
-        if (self.fitness is None) != (self.fitness_kind == UNSET):
-            raise ValueError("fitness and fitness_kind must be set together")
 
 
 class MutationResult(NamedTuple):
@@ -147,47 +111,10 @@ class RunTrace:
     def best_per_generation(self) -> list[float]:
         return [g.best_fitness for g in self.generations]
 
-    def calls(self) -> list[FitnessCall]:
-        return [c for g in self.generations for c in g.calls]
-
 
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
-
-
-def init_population(
-    seed_positions: Sequence[Sequence[float]],
-    population_size: int,
-    bounds: Bounds | None = None,
-    rng: random.Random | None = None,
-) -> list[Candidate]:
-    """Build the generation-0 population from seeds, padding randomly.
-
-    Seed positions are used in order (surplus seeds are dropped). When
-    fewer seeds than individuals are given, the remainder is drawn
-    uniformly inside `bounds`, which is the only case that needs `bounds`
-    and `rng`.
-    """
-    if population_size < 1:
-        raise ValueError(f"population size must be positive, got {population_size}")
-    population = [
-        Candidate(tuple(float(x) for x in pos))
-        for pos in seed_positions[:population_size]
-    ]
-    missing = population_size - len(population)
-    if missing > 0:
-        if bounds is None or rng is None:
-            raise ValueError(
-                f"{missing} individuals need random init but bounds/rng are missing"
-            )
-        for _ in range(missing):
-            position = tuple(
-                lo + rng.random() * (hi - lo)
-                for lo, hi in zip(bounds.low, bounds.high)
-            )
-            population.append(Candidate(position))
-    return population
 
 
 def pick_partners(
@@ -281,28 +208,31 @@ def run(
     fitness: FitnessProvider,
     params: DeParams,
     seed_positions: Sequence[Sequence[float]],
-    bounds: Bounds,
     repair: Callable[[Position], Position] | None = None,
 ) -> tuple[Candidate, RunTrace]:
     """Minimize `fitness` and return (best of final population, trace).
 
-    Each generation mutates around the current best (recomputed once per
-    generation), crosses over, requests fitness for every trial, and keeps
-    the better of target and trial. When `repair` is given, each trial is
-    replaced by `repair(trial)` before its fitness is requested; the seed
-    positions are used as given. Provider errors propagate unchanged.
+    The population is the seed positions, one individual each; at least 4
+    are needed so the best vector plus two mutation partners distinct from
+    the target always exist. Each generation mutates around the current
+    best (recomputed once per generation), crosses over, requests fitness
+    for every trial, and keeps the better of target and trial. When
+    `repair` is given, each trial is replaced by `repair(trial)` before
+    its fitness is requested; the seed positions are used as given.
+    Provider errors propagate unchanged.
     """
+    if len(seed_positions) < 4:
+        raise ValueError(
+            f"population needs at least 4 seed positions, got {len(seed_positions)}"
+        )
     rng = random.Random(params.rng_seed)
-    population = init_population(
-        seed_positions, params.population_size, bounds, rng
-    )
+    population = [Candidate(tuple(float(x) for x in pos)) for pos in seed_positions]
     trace = RunTrace()
 
     init_record = GenerationRecord(0, 0.0, ())
     for candidate in population:
         value, kind = fitness(candidate.position)
         candidate.fitness = value
-        candidate.fitness_kind = kind
         init_record.calls.append(FitnessCall(candidate.position, value, kind))
     best = population[best_index_of(population)]
     init_record.best_fitness = best.fitness
@@ -321,7 +251,7 @@ def run(
             value, kind = fitness(trial_position)
             record.calls.append(FitnessCall(trial_position, value, kind))
             record.mutations.append(MutationEvent(i, best_index, r1, r2, j_rand))
-            trial = Candidate(trial_position, value, kind)
+            trial = Candidate(trial_position, value)
             next_population.append(select(target, trial))
         population = next_population
         best = population[best_index_of(population)]

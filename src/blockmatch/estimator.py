@@ -81,17 +81,6 @@ class HistoryStore:
             self.best_index = index
         return index
 
-    def rewrite(self, index: int, fitness: float, kind: str) -> None:
-        """Replace one record's value in place, e.g. after re-resolving an
-        estimate with a true evaluation, and re-derive the best index."""
-        self.records[index] = EvaluationRecord(
-            self.records[index].position, fitness, kind
-        )
-        self.best_index = None
-        for i, record in enumerate(self.records):
-            if self.best_index is None or record.fitness < self.records[self.best_index].fitness:
-                self.best_index = i
-
     def best(self) -> EvaluationRecord | None:
         return None if self.best_index is None else self.records[self.best_index]
 
@@ -105,12 +94,13 @@ class HistoryStore:
                 hit = NearestHit(index, record, distance)
         return hit
 
-    def reset(self) -> None:
-        self.records.clear()
-        self.best_index = None
 
-
-def classify(store: HistoryStore, position: Position, params: StrategyParams) -> Rule:
+def classify(
+    store: HistoryStore,
+    position: Position,
+    params: StrategyParams,
+    hit: NearestHit | None = None,
+) -> Rule:
     """Decide how a position's fitness is obtained.
 
     Exactly one rule applies: no record within d (or an empty store)
@@ -121,8 +111,12 @@ def classify(store: HistoryStore, position: Position, params: StrategyParams) ->
     means NEIGHBOR_COPY. A best record that was truly evaluated at 0, the
     least fitness a record can hold, cannot be refined, so a position
     near it is a NEIGHBOR_COPY too.
+
+    `hit` is `store.nearest(position)` when the caller has already looked
+    it up; otherwise the store is scanned here.
     """
-    hit = store.nearest(position)
+    if hit is None and store.records:
+        hit = store.nearest(position)
     if hit is None or hit.distance > params.d:
         return Rule.UNEXPLORED
     best = store.best()
@@ -145,11 +139,12 @@ def fitness_of(
 
     NEAR_BEST and UNEXPLORED invoke the objective exactly once; a
     NEIGHBOR_COPY copies the nearest record's fitness and does not touch
-    the objective. Objective errors propagate and leave the store as-is.
+    the objective. The store is scanned once per request. Objective errors
+    propagate and leave the store as-is.
     """
-    rule = classify(store, position, params)
-    if rule is Rule.NEIGHBOR_COPY:
-        value = store.nearest(position).record.fitness
+    hit = store.nearest(position)
+    if classify(store, position, params, hit) is Rule.NEIGHBOR_COPY:
+        value = hit.record.fitness
         kind = ESTIMATED
     else:
         value = float(objective(position))

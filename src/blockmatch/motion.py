@@ -15,9 +15,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import de
-from .de import Bounds, DeParams, EVALUATED, Position, RunTrace
+from .de import DeParams, EVALUATED, Position, RunTrace
 from .estimator import EvaluationRecord, HistoryStore, StrategyParams, provider
 
+# The searches search_block dispatches to, by name.
 ALGORITHMS = ("fsa", "debm", "tss", "ds")
 
 
@@ -37,8 +38,8 @@ class BlockRef(NamedTuple):
 @dataclass(frozen=True)
 class SearchConfig:
     """Search settings; the defaults are the reference configuration
-    (16x16 blocks, +-7 px window, f=0.25, cr=0.8, 5 individuals over
-    7 generations, copy threshold 2.5)."""
+    (16x16 blocks, +-7 px window, f=0.25, cr=0.8, 5 individuals, one per
+    pattern point, over 7 generations, copy threshold 2.5)."""
 
     w: int = 7
     n: int = 16
@@ -359,7 +360,6 @@ def _debm_search(
         provider(store, config.strategy, objective),
         config.de,
         seeds,
-        Bounds((-float(w), -float(w)), (float(w), float(w))),
         repair,
     )
 
@@ -412,6 +412,41 @@ def debm_search(
 # ---------------------------------------------------------------------------
 
 
+def search_block(
+    algorithm: str,
+    cur: np.ndarray,
+    prev: np.ndarray,
+    block: BlockRef,
+    config: SearchConfig,
+    index: int,
+    probe: SearchProbe | None = None,
+) -> BlockResult:
+    """Search one block with the named algorithm, as a full-frame run does.
+
+    `index` is the block's position in partition order; debm seeds its
+    run with rng_seed ^ index, so a block's result does not depend on
+    which other blocks are searched or in what order. Frames are uint8 or
+    already widened to int16; they are not validated here. Each search is
+    looked up on its module when called, so a replaced module attribute
+    sees every block.
+    """
+    cur = cur.astype(np.int16, copy=False)
+    prev = prev.astype(np.int16, copy=False)
+    if algorithm == "fsa":
+        return _full_search(cur, prev, block, config.w, probe)
+    if algorithm == "debm":
+        seeded = replace(
+            config, de=replace(config.de, rng_seed=config.de.rng_seed ^ index)
+        )
+        return _debm_search(cur, prev, block, seeded, probe)
+    from . import baselines  # imported late: baselines builds on this module
+    if algorithm == "tss":
+        return baselines._tss_search(cur, prev, block, config.w, probe)
+    if algorithm == "ds":
+        return baselines._ds_search(cur, prev, block, config.w, probe)
+    raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
+
+
 def estimate_frame(
     current: np.ndarray,
     previous: np.ndarray,
@@ -422,32 +457,16 @@ def estimate_frame(
 
     Returns the motion-vector field as an int32 grid of shape
     (rows, cols, 2) holding (u, v) per block, plus the per-block results
-    in partition order. Runs are deterministic: block index i uses the
-    derived seed rng_seed ^ i, independent of execution order.
+    in partition order, each as `search_block` gives it.
     """
     _require_pair(current, previous)
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
     blocks = partition(current, config.n)
     cur = current.astype(np.int16)
     prev = previous.astype(np.int16)
-
-    if algorithm in ("tss", "ds"):
-        from . import baselines
-        searcher = baselines._tss_search if algorithm == "tss" else baselines._ds_search
-
-    results = []
-    for index, block in enumerate(blocks):
-        if algorithm == "fsa":
-            result = _full_search(cur, prev, block, config.w)
-        elif algorithm == "debm":
-            block_config = replace(
-                config, de=replace(config.de, rng_seed=config.de.rng_seed ^ index)
-            )
-            result = _debm_search(cur, prev, block, block_config)
-        else:
-            result = searcher(cur, prev, block, config.w)
-        results.append(result)
+    results = [
+        search_block(algorithm, cur, prev, block, config, index)
+        for index, block in enumerate(blocks)
+    ]
 
     rows, cols = grid_shape(current.shape, config.n)
     field_array = np.zeros((rows, cols, 2), dtype=np.int32)

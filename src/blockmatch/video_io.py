@@ -329,8 +329,12 @@ MV_DUMP_HEADER = "frame,x,y,u,v,sad,evaluations,estimations"
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
     target = Path(path)
     temp = target.with_name(f".{target.name}.tmp{os.getpid()}")
-    temp.write_bytes(payload)
-    os.replace(temp, target)
+    try:
+        temp.write_bytes(payload)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write_text(path: str, payload: str) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockmatch.cli import main
+from blockmatch.motion import ALGORITHMS
 from blockmatch.video_io import write_pgm
 
 
@@ -126,6 +127,23 @@ class TestRun:
         assert status == 1
         assert not report_path.exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # the report path is an existing directory, so the final rename fails
+        target = tmp_path / "D"
+        target.mkdir()
+        status = run_cli(
+            "run",
+            "--algo", "fsa",
+            "--format", "synth",
+            "--input", "random:1,1",
+            "--frames", "2",
+            "--out", str(target),
+        )
+        assert status == 1
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["D"]
+        assert list(target.iterdir()) == []
 
     def test_unreadable_input_fails_with_diagnostic(self, tmp_path, capsys):
         status = run_cli(
@@ -281,13 +299,15 @@ class TestTrace:
         assert doc["evaluations"] + doc["estimations"] == 40
         evaluated_visits = [v for v in doc["visits"] if v["kind"] == "evaluated"]
         assert len(evaluated_visits) == doc["evaluations"]
-        assert doc["minimum"] == [doc["mv_u"], doc["mv_v"]] if "mv_u" in doc else True
+        u, v = doc["minimum"]
+        assert {"u": u, "v": v, "kind": "evaluated"} in doc["visits"]
 
-    def test_trace_matches_full_run_accounting(self, tmp_path):
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_trace_matches_full_run_accounting(self, tmp_path, algo):
         dump_path = tmp_path / "mv.csv"
         run_cli(
             "run",
-            "--algo", "debm",
+            "--algo", algo,
             "--format", "synth",
             "--input", "random:2,-1",
             "--frames", "2",
@@ -297,7 +317,7 @@ class TestTrace:
         out = tmp_path / "trace.json"
         run_cli(
             "trace",
-            "--algo", "debm",
+            "--algo", algo,
             "--format", "synth",
             "--input", "random:2,-1",
             "--frames", "2",
@@ -313,6 +333,7 @@ class TestTrace:
         )
         assert int(row["evaluations"]) == doc["evaluations"]
         assert int(row["estimations"]) == doc["estimations"]
+        assert int(row["sad"]) == doc["sad"]
         assert [int(row["u"]), int(row["v"])] == doc["minimum"]
 
     def test_misaligned_block_lists_valid_anchors(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from blockmatch import estimator
 from blockmatch.de import ESTIMATED, EVALUATED
 from blockmatch.estimator import (
     EvaluationRecord,
@@ -99,12 +100,6 @@ class TestBestTracking:
             fitnesses = [r.fitness for r in store.records]
             assert store.best_index == fitnesses.index(min(fitnesses))
 
-    def test_rewrite_recomputes_best(self):
-        store = store_of(((0.0, 0.0), 9.0), ((1.0, 0.0), 4.0))
-        store.rewrite(0, 1.0, EVALUATED)
-        assert store.best_index == 0
-        assert store.records[0].fitness == 1.0
-
 
 class TestClassify:
     def test_empty_store_is_unexplored(self):
@@ -144,6 +139,15 @@ class TestClassify:
         store.append(EvaluationRecord((2.0, 0.0), 0.0, ESTIMATED))
         assert classify(store, (3.0, 0.0), D) is Rule.NEAR_BEST
 
+    def test_given_hit_decides_like_own_scan(self):
+        rng = random.Random(6)
+        store = HistoryStore()
+        for _ in range(40):
+            position = (rng.uniform(-7, 7), rng.uniform(-7, 7))
+            hit = store.nearest(position)
+            assert classify(store, position, D, hit) is classify(store, position, D)
+            fitness_of(store, position, D, lambda p: float(rng.randrange(1000)))
+
     def test_threshold_distance_is_inclusive(self):
         store = store_of(((0.0, 0.0), 50.0))
         assert classify(store, (2.5, 0.0), D) is Rule.NEAR_BEST
@@ -157,6 +161,25 @@ class TestClassify:
 
 
 class TestFitnessOf:
+    def test_one_store_scan_per_request(self, monkeypatch):
+        # the rule and a copied value come from the same nearest() scan,
+        # and the module-level classify still decides every request
+        scans, rules = [], []
+        nearest, decide = HistoryStore.nearest, estimator.classify
+        monkeypatch.setattr(
+            HistoryStore, "nearest", lambda self, p: scans.append(p) or nearest(self, p)
+        )
+        monkeypatch.setattr(
+            estimator, "classify", lambda *args: rules.append(decide(*args)) or rules[-1]
+        )
+        rng = random.Random(5)
+        store = HistoryStore()
+        for _ in range(40):
+            position = (rng.uniform(-7, 7), rng.uniform(-7, 7))
+            fitness_of(store, position, D, lambda p: float(rng.randrange(1000)))
+        assert len(scans) == len(rules) == 40
+        assert Rule.NEIGHBOR_COPY in rules
+
     def test_empty_store_evaluates(self):
         store = HistoryStore()
         value, kind = fitness_of(store, (0.0, 0.0), D, lambda p: 1234.0)
@@ -211,24 +234,6 @@ class TestFitnessOf:
         fitness_of(store, (6.0, 1.0), D, lambda p: 0.0)  # copied 30
         value, kind = fitness_of(store, (6.0, 2.0), D, lambda p: 0.0)
         assert (value, kind) == (30.0, ESTIMATED)
-
-
-class TestReset:
-    def test_reset_clears_everything(self):
-        store = store_of(((0.0, 0.0), 1.0))
-        store.reset()
-        assert len(store) == 0 and store.best_index is None
-
-    def test_reset_is_idempotent(self):
-        store = store_of(((0.0, 0.0), 1.0))
-        store.reset()
-        store.reset()
-        assert len(store) == 0
-
-    def test_queries_after_reset_are_unexplored(self):
-        store = store_of(((0.0, 0.0), 1.0))
-        store.reset()
-        assert classify(store, (0.0, 0.0), D) is Rule.UNEXPLORED
 
 
 class TestAccountingProperties:

@@ -3,9 +3,12 @@ differential-evolution search."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blockmatch.de import DeParams, ESTIMATED, EVALUATED
 from blockmatch.motion import (
+    ALGORITHMS,
     BlockRef,
     MotionVector,
     SearchConfig,
@@ -21,6 +24,7 @@ from blockmatch.motion import (
     mv_bounds,
     partition,
     sad,
+    search_block,
 )
 
 
@@ -422,6 +426,56 @@ class TestEstimateFrame:
             assert tuple(mv_field[row, col]) == result.mv
 
 
+@st.composite
+def search_cases(draw):
+    """A random small frame pair, search config and block index."""
+    n = draw(st.integers(1, 6))
+    height = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
+    width = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
+    current = draw(arrays(np.uint8, (height, width)))
+    previous = draw(arrays(np.uint8, (height, width)))
+    config = SearchConfig(
+        w=draw(st.integers(1, 5)),
+        n=n,
+        de=DeParams(rng_seed=draw(st.integers(0, 2**16))),
+    )
+    index = draw(st.integers(0, (height // n) * (width // n) - 1))
+    return current, previous, config, index
+
+
+class TestSearchBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(search_cases())
+    def test_single_block_matches_full_frame_run(self, case):
+        current, previous, config, index = case
+        block = partition(current, config.n)[index]
+        height, width = current.shape
+        umin, umax, vmin, vmax = mv_bounds(block, width, height, config.w)
+        exhaustive = estimate_frame(current, previous, config, "fsa")[1][index]
+        for algorithm in ALGORITHMS:
+            result = search_block(algorithm, current, previous, block, config, index)
+            assert result == estimate_frame(current, previous, config, algorithm)[1][index]
+            assert umin <= result.mv.u <= umax and vmin <= result.mv.v <= vmax
+            assert result.sad >= exhaustive.sad
+            assert result.sad == sad(current, previous, block, result.mv)
+
+    def test_debm_seed_derives_from_block_index(self):
+        rng = np.random.default_rng(24)
+        previous, current = rolled_pair(rng, 48, 48, 2, 1)
+        block = BlockRef(16, 16, 16)
+        config = SearchConfig(de=DeParams(rng_seed=40))
+        seeded = SearchConfig(de=DeParams(rng_seed=40 ^ 4))
+        probe = SearchProbe()
+        result = search_block("debm", current, previous, block, config, 4, probe)
+        assert result == debm_search(current, previous, block, seeded)
+        assert probe.trace is not None and len(probe.visits) == 40
+
+    def test_unknown_algorithm_rejected(self):
+        frame = np.zeros((16, 16), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            search_block("zigzag", frame, frame, BlockRef(0, 0, 16), SearchConfig(), 0)
+
+
 class TestCompensate:
     def test_zero_field_is_identity(self):
         rng = np.random.default_rng(30)
@@ -485,7 +539,7 @@ class TestConfigDefaults:
         assert config.w == 7
         assert config.de.f == 0.25
         assert config.de.cr == 0.8
-        assert config.de.population_size == 5
+        assert len(initial_pattern(config.w)) == 5  # one individual per point
         assert config.de.generations == 7
         assert config.strategy.d == 2.5
 

@@ -292,6 +292,15 @@ class TestReports:
             write_report(sample_report(), str(missing))
         assert "no/such/dir" in str(info.value) or "no\\such\\dir" in str(info.value)
 
+    @pytest.mark.parametrize("name", ["report.json", "report.csv"])
+    def test_failed_write_removes_temp_file(self, tmp_path, name):
+        # the target is a directory, so the temp file is written but the
+        # rename onto the target fails
+        (tmp_path / name).mkdir()
+        with pytest.raises(OSError):
+            write_report(sample_report(), str(tmp_path / name))
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
     def test_mv_dump_layout(self, tmp_path):
         blocks = [BlockRef(0, 0, 16), BlockRef(16, 0, 16)]
         results = [
