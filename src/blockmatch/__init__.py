@@ -1,7 +1,6 @@
 """Motion-estimation toolkit: exhaustive, fixed-pattern and
 differential-evolution block matching with fitness estimation."""
 
-from .baselines import ds_search, tss_search
 from .de import Candidate, DeParams, RunTrace
 from .estimator import EvaluationRecord, HistoryStore, Rule, StrategyParams
 from .metrics import (
@@ -21,9 +20,7 @@ from .motion import (
     MotionVector,
     SearchConfig,
     SearchProbe,
-    candidate_to_lattice,
     compensate,
-    debm_search,
     estimate_frame,
     full_search,
     initial_pattern,

@@ -3,9 +3,8 @@
 Both share the SAD cost, skip candidates outside the valid displacement
 region, cache every computed cost so a position is never evaluated twice,
 and report the same per-block accounting as the other algorithms.
+`motion.search_block` runs them by name, "tss" and "ds".
 """
-
-import numpy as np
 
 from .de import EVALUATED
 from .motion import (
@@ -14,7 +13,6 @@ from .motion import (
     CellVisit,
     MotionVector,
     SearchProbe,
-    _require_pair,
     _sad_wide,
     mv_bounds,
 )
@@ -53,8 +51,7 @@ class _CachedCost:
         return value
 
     def result(self, u: int, v: int) -> BlockResult:
-        count = len(self.seen)
-        return BlockResult(MotionVector(u, v), self.seen[(u, v)], count, 0, count)
+        return BlockResult(MotionVector(u, v), self.seen[(u, v)], len(self.seen), 0)
 
 
 def _scan_min(cost: _CachedCost, center, offsets, scale=1):
@@ -72,6 +69,9 @@ def _scan_min(cost: _CachedCost, center, offsets, scale=1):
 
 
 def _tss_search(cur, prev, block: BlockRef, w: int, probe: SearchProbe | None = None) -> BlockResult:
+    """Three-step search: 9-point grids at halving step sizes, each pass
+    recentered on the running minimum. At w=7 the steps are 4, 2, 1 for at
+    most 25 distinct candidates."""
     cost = _CachedCost(cur, prev, block, w, probe)
     offsets = tuple(
         (du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)
@@ -85,25 +85,9 @@ def _tss_search(cur, prev, block: BlockRef, w: int, probe: SearchProbe | None = 
     return cost.result(*center)
 
 
-def tss_search(
-    current: np.ndarray,
-    previous: np.ndarray,
-    block: BlockRef,
-    w: int,
-    probe: SearchProbe | None = None,
-) -> BlockResult:
-    """Three-step search: 9-point grids at halving step sizes, each pass
-    recentered on the running minimum. At w=7 the steps are 4, 2, 1 for at
-    most 25 distinct candidates."""
-    _require_pair(current, previous)
-    if w < 1:
-        raise ValueError(f"search range must be at least 1, got {w}")
-    return _tss_search(
-        current.astype(np.int16), previous.astype(np.int16), block, w, probe
-    )
-
-
 def _ds_search(cur, prev, block: BlockRef, w: int, probe: SearchProbe | None = None) -> BlockResult:
+    """Diamond search: the 9-point large diamond walks until its minimum
+    stays central, then one 5-point small diamond refines the result."""
     cost = _CachedCost(cur, prev, block, w, probe)
     center = (0, 0)
     cost(0, 0)
@@ -113,20 +97,3 @@ def _ds_search(cur, prev, block: BlockRef, w: int, probe: SearchProbe | None = N
             break
         center = minimum
     return cost.result(*_scan_min(cost, center, _SMALL_DIAMOND))
-
-
-def ds_search(
-    current: np.ndarray,
-    previous: np.ndarray,
-    block: BlockRef,
-    w: int,
-    probe: SearchProbe | None = None,
-) -> BlockResult:
-    """Diamond search: the 9-point large diamond walks until its minimum
-    stays central, then one 5-point small diamond refines the result."""
-    _require_pair(current, previous)
-    if w < 1:
-        raise ValueError(f"search range must be at least 1, got {w}")
-    return _ds_search(
-        current.astype(np.int16), previous.astype(np.int16), block, w, probe
-    )

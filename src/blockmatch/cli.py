@@ -140,14 +140,14 @@ def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
             raise ValueError(
                 f"bad synthetic motion {motion!r}, expected 'du,dv'"
             ) from None
+    given = {"width": args.width, "height": args.height, "frames": args.frames}
     params = SynthParams(
-        width=args.width or 176,
-        height=args.height or 144,
-        frames=args.frames or 10,
         du=du,
         dv=dv,
         seed=args.seed,
         max_shift=args.search_range,
+        # unset flags take the SynthParams defaults; synth_sequence rejects 0
+        **{name: value for name, value in given.items() if value is not None},
     )
     return kind, params
 

@@ -23,11 +23,6 @@ ESTIMATED = "estimated"
 FitnessProvider = Callable[[Position], tuple[float, str]]
 
 
-def direct_fitness(fn: Callable[[Position], float]) -> FitnessProvider:
-    """Wrap a plain objective so every request counts as a true evaluation."""
-    return lambda position: (float(fn(position)), EVALUATED)
-
-
 @dataclass(frozen=True)
 class DeParams:
     """Control parameters for one optimizer run.
@@ -107,9 +102,6 @@ class GenerationRecord:
 @dataclass
 class RunTrace:
     generations: list[GenerationRecord] = field(default_factory=list)
-
-    def best_per_generation(self) -> list[float]:
-        return [g.best_fitness for g in self.generations]
 
 
 # ---------------------------------------------------------------------------

@@ -59,14 +59,12 @@ class BlockResult:
 
     evaluations counts true cost computations and estimations counts
     copied values; their sum equals the number of fitness requests.
-    visited counts distinct candidate positions considered.
     """
 
     mv: MotionVector
     sad: int
     evaluations: int
     estimations: int
-    visited: int
 
 
 class CellVisit(NamedTuple):
@@ -105,6 +103,16 @@ def _require_pair(current: np.ndarray, previous: np.ndarray) -> None:
         raise ValueError(
             f"frame dimensions differ: {current.shape} vs {previous.shape}"
         )
+
+
+def _require_block(
+    current: np.ndarray, previous: np.ndarray, block: BlockRef
+) -> None:
+    _require_pair(current, previous)
+    height, width = previous.shape
+    x, y, n = block
+    if not (0 <= x <= width - n and 0 <= y <= height - n):
+        raise ValueError(f"block {block} does not fit the {width}x{height} frame")
 
 
 def partition(frame: np.ndarray, n: int) -> list[BlockRef]:
@@ -146,11 +154,6 @@ def mv_bounds(
     return umin, umax, vmin, vmax
 
 
-def is_interior(block: BlockRef, frame_width: int, frame_height: int, w: int) -> bool:
-    """True when every displacement with |u|, |v| <= w is valid."""
-    return mv_bounds(block, frame_width, frame_height, w) == (-w, w, -w, w)
-
-
 # ---------------------------------------------------------------------------
 # Matching cost
 # ---------------------------------------------------------------------------
@@ -177,12 +180,10 @@ def sad(
     The displaced block must lie fully inside the previous frame; callers
     clamp candidates before asking for a cost.
     """
-    _require_pair(current, previous)
+    _require_block(current, previous, block)
     height, width = previous.shape
     x, y, n = block
     u, v = int(mv[0]), int(mv[1])
-    if not (0 <= x <= width - n and 0 <= y <= height - n):
-        raise ValueError(f"block {block} does not fit the {width}x{height} frame")
     if not (0 <= x + u <= width - n and 0 <= y + v <= height - n):
         raise ValueError(
             f"candidate ({u}, {v}) moves block {block} outside the previous frame"
@@ -223,7 +224,7 @@ def _full_search(
             for v in range(vmin, vmax + 1)
             for u in range(umin, umax + 1)
         )
-    return BlockResult(mv, int(sads[vi, ui]), count, 0, count)
+    return BlockResult(mv, int(sads[vi, ui]), count, 0)
 
 
 def full_search(
@@ -238,7 +239,7 @@ def full_search(
     Ties resolve to the smallest v, then the smallest u. An interior block
     visits the full (2w+1)^2 candidate grid.
     """
-    _require_pair(current, previous)
+    _require_block(current, previous, block)
     return _full_search(
         current.astype(np.int16), previous.astype(np.int16), block, w, probe
     )
@@ -267,29 +268,15 @@ def initial_pattern(w: int) -> list[Position]:
 def _clamped_cell(
     position: Sequence[float], bounds: tuple[int, int, int, int]
 ) -> tuple[int, int]:
-    """Round half away from zero, then clamp into the (umin, umax, vmin,
-    vmax) box."""
+    """Project a real-valued position onto the valid displacement lattice:
+    round half away from zero, then clamp into the (umin, umax, vmin, vmax)
+    box, which for `mv_bounds` keeps |u|,|v| <= w and the displaced block
+    inside the frame."""
     umin, umax, vmin, vmax = bounds
     x, y = position
     u = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
     v = math.floor(y + 0.5) if y >= 0 else math.ceil(y - 0.5)
     return min(max(u, umin), umax), min(max(v, vmin), vmax)
-
-
-def candidate_to_lattice(
-    position: Sequence[float],
-    block: BlockRef,
-    frame_width: int,
-    frame_height: int,
-    w: int,
-) -> MotionVector:
-    """Project a real-valued position onto the valid integer displacement
-    lattice: round half away from zero, clamp to |u|,|v| <= w, then clamp
-    into the region where the displaced block stays inside the frame."""
-    # mv_bounds already lies inside |u|,|v| <= w, so one clamp does both.
-    return MotionVector(
-        *_clamped_cell(position, mv_bounds(block, frame_width, frame_height, w))
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,6 +300,19 @@ def _debm_search(
     config: SearchConfig,
     probe: SearchProbe | None = None,
 ) -> BlockResult:
+    """Search one block with differential evolution plus fitness copying.
+
+    Individuals live on the valid displacement lattice. The five pattern
+    points, projected onto it, are requested up front, then each of the
+    configured generations mutates around the running best, crosses over,
+    rounds the trial to its cell and resolves its cost through the
+    evaluate-or-estimate dispatch. A trial that lands on the cell of the
+    best record so far moves to the nearest cell not yet requested in
+    this search, so it never spends a true evaluation on a known cost.
+    The motion vector is the cell with the lowest cost the search truly
+    computed (the earliest on ties), and its SAD is that computed cost;
+    no copied value is reported and no extra evaluation is spent.
+    """
     height, width = prev.shape
     w = config.w
     bounds = mv_bounds(block, width, height, w)
@@ -370,7 +370,6 @@ def _debm_search(
     )
     mv = MotionVector(*map(int, best.position))
     estimations = len(store.records) - true_evaluations
-    visited = len({r.position for r in store.records})
     if probe is not None:
         probe.trace = trace
         probe.records = list(store.records)
@@ -378,33 +377,7 @@ def _debm_search(
             CellVisit(*map(int, r.position), r.kind)
             for r in store.records
         ]
-    return BlockResult(mv, int(best.fitness), true_evaluations, estimations, visited)
-
-
-def debm_search(
-    current: np.ndarray,
-    previous: np.ndarray,
-    block: BlockRef,
-    config: SearchConfig,
-    probe: SearchProbe | None = None,
-) -> BlockResult:
-    """Search one block with differential evolution plus fitness copying.
-
-    Individuals live on the valid displacement lattice. The five pattern
-    points, projected onto it, are requested up front, then each of the
-    configured generations mutates around the running best, crosses over,
-    rounds the trial to its cell and resolves its cost through the
-    evaluate-or-estimate dispatch. A trial that lands on the cell of the
-    best record so far moves to the nearest cell not yet requested in
-    this search, so it never spends a true evaluation on a known cost.
-    The motion vector is the cell with the lowest cost the search truly
-    computed (the earliest on ties), and its SAD is that computed cost;
-    no copied value is reported and no extra evaluation is spent.
-    """
-    _require_pair(current, previous)
-    return _debm_search(
-        current.astype(np.int16), previous.astype(np.int16), block, config, probe
-    )
+    return BlockResult(mv, int(best.fitness), true_evaluations, estimations)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +387,28 @@ def debm_search(
 
 def search_block(
     algorithm: str,
+    current: np.ndarray,
+    previous: np.ndarray,
+    block: BlockRef,
+    config: SearchConfig,
+    index: int,
+    probe: SearchProbe | None = None,
+) -> BlockResult:
+    """Search one block of a uint8 frame pair with the named algorithm
+    (one of ALGORITHMS), exactly as a full-frame run searches it.
+
+    `index` is the block's position in partition order; debm seeds its
+    run with rng_seed ^ index, so a block's result does not depend on
+    which other blocks are searched or in what order. The block must lie
+    inside the frame.
+    """
+    _require_block(current, previous, block)
+    cur, prev = current.astype(np.int16), previous.astype(np.int16)
+    return _search_block(algorithm, cur, prev, block, config, index, probe)
+
+
+def _search_block(
+    algorithm: str,
     cur: np.ndarray,
     prev: np.ndarray,
     block: BlockRef,
@@ -421,17 +416,9 @@ def search_block(
     index: int,
     probe: SearchProbe | None = None,
 ) -> BlockResult:
-    """Search one block with the named algorithm, as a full-frame run does.
-
-    `index` is the block's position in partition order; debm seeds its
-    run with rng_seed ^ index, so a block's result does not depend on
-    which other blocks are searched or in what order. Frames are uint8 or
-    already widened to int16; they are not validated here. Each search is
-    looked up on its module when called, so a replaced module attribute
-    sees every block.
-    """
-    cur = cur.astype(np.int16, copy=False)
-    prev = prev.astype(np.int16, copy=False)
+    # cur/prev are validated and widened to int16. Each search is looked up
+    # on its module when called, so a replaced module attribute sees every
+    # block.
     if algorithm == "fsa":
         return _full_search(cur, prev, block, config.w, probe)
     if algorithm == "debm":
@@ -439,7 +426,6 @@ def search_block(
             config, de=replace(config.de, rng_seed=config.de.rng_seed ^ index)
         )
         return _debm_search(cur, prev, block, seeded, probe)
-    from . import baselines  # imported late: baselines builds on this module
     if algorithm == "tss":
         return baselines._tss_search(cur, prev, block, config.w, probe)
     if algorithm == "ds":
@@ -464,7 +450,7 @@ def estimate_frame(
     cur = current.astype(np.int16)
     prev = previous.astype(np.int16)
     results = [
-        search_block(algorithm, cur, prev, block, config, index)
+        _search_block(algorithm, cur, prev, block, config, index)
         for index, block in enumerate(blocks)
     ]
 
@@ -498,3 +484,9 @@ def compensate(previous: np.ndarray, mv_field: np.ndarray, n: int) -> np.ndarray
                 )
             output[y : y + n, x : x + n] = previous[y + v : y + v + n, x + u : x + u + n]
     return output
+
+
+# Imported last, because baselines builds on the names above. Loading it
+# with this module, not on first use, also binds its _sad_wide before
+# anything can replace motion._sad_wide.
+from . import baselines  # noqa: E402

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .metrics import FrameScore, SequenceReport
 from .motion import BlockRef, BlockResult
@@ -298,11 +297,33 @@ def _noise_texture(width: int, height: int, seed: int, sigma: float) -> np.ndarr
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((height, width))
     if sigma > 0:
-        base = gaussian_filter(base, sigma=sigma, mode="wrap")
+        base = _blur_wrap(base, sigma)
     low, high = float(base.min()), float(base.max())
     if high == low:
         return np.full((height, width), 128, dtype=np.uint8)
     return np.round((base - low) / (high - low) * 255.0).astype(np.uint8)
+
+
+def _blur_wrap(image: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of a float64 image with wrap-around edges, equal bit
+    for bit to scipy.ndimage.gaussian_filter(image, sigma, mode="wrap").
+
+    It repeats scipy's arithmetic step for step: the kernel is truncated
+    at radius int(4 sigma + 0.5) and normalised by its own sum, and each
+    axis, 0 then 1, is filtered in the symmetric order scipy's correlate1d
+    uses: the center term first, then pairs from the outermost inward.
+    """
+    radius = int(4.0 * float(sigma) + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    kernel = kernel / kernel.sum()
+    weights = kernel[radius:]  # weights[j] applies at offset +-j
+    for axis in (0, 1):
+        out = image * weights[0]
+        for j in range(radius, 0, -1):
+            out += (np.roll(image, j, axis) + np.roll(image, -j, axis)) * weights[j]
+        image = out
+    return image
 
 
 def _wave_texture(width: int, height: int) -> np.ndarray:

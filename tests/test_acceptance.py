@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from blockmatch.baselines import ds_search, tss_search
 from blockmatch.cli import main
 from blockmatch.de import DeParams, ESTIMATED, EVALUATED
 from blockmatch.estimator import (
@@ -34,15 +33,19 @@ from blockmatch.motion import (
     SearchConfig,
     SearchProbe,
     compensate,
-    debm_search,
     estimate_frame,
     full_search,
-    is_interior,
     mv_bounds,
     partition,
     sad,
+    search_block,
 )
 from blockmatch.video_io import SynthParams, synth_sequence
+
+
+def is_interior(block, frame_width, frame_height, w):
+    """True when every displacement with |u|, |v| <= w is valid."""
+    return mv_bounds(block, frame_width, frame_height, w) == (-w, w, -w, w)
 
 
 def report(number, ok, name, detail=""):
@@ -263,17 +266,19 @@ def test_criterion_06_baseline_budgets():
     started = time.monotonic()
     rng = np.random.default_rng(606)
     pairs = 1000
+    config = SearchConfig()
     for _ in range(pairs):
         current = rng.integers(0, 256, (48, 48), dtype=np.uint8)
         previous = rng.integers(0, 256, (48, 48), dtype=np.uint8)
         height, width = previous.shape
         for block in partition(current, 16):
             probe = SearchProbe()
-            tss = tss_search(current, previous, block, 7, probe)
+            tss = search_block("tss", current, previous, block, config, 0, probe)
             assert tss.evaluations <= 25
             assert len({(v.u, v.v) for v in probe.visits}) == tss.evaluations
             probe = SearchProbe()
-            ds = ds_search(current, previous, block, 7, probe)  # must terminate
+            # must terminate
+            search_block("ds", current, previous, block, config, 0, probe)
             umin, umax, vmin, vmax = mv_bounds(block, width, height, 7)
             for visit in probe.visits:
                 assert umin <= visit.u <= umax and vmin <= visit.v <= vmax
@@ -414,9 +419,9 @@ def test_criterion_10_monotone_population_best():
             if searches >= 1000:
                 break
             probe = SearchProbe()
-            config = SearchConfig(de=DeParams(rng_seed=seed ^ index))
-            debm_search(current, previous, block, config, probe)
-            best = probe.trace.best_per_generation()
+            config = SearchConfig(de=DeParams(rng_seed=seed))
+            search_block("debm", current, previous, block, config, index, probe)
+            best = [g.best_fitness for g in probe.trace.generations]
             assert all(b <= a for a, b in zip(best, best[1:])), (
                 f"best fitness increased in block {block} seed {seed}"
             )

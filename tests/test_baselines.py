@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
-from blockmatch.baselines import ds_search, tss_search
 from blockmatch.motion import (
     BlockRef,
+    SearchConfig,
     SearchProbe,
     full_search,
     mv_bounds,
     partition,
+    search_block,
+)
+
+CONFIG = SearchConfig()
+BASELINES = pytest.mark.parametrize(
+    "algorithm", ["tss", "ds"], ids=["tss_search", "ds_search"]
 )
 
 
@@ -37,15 +43,14 @@ class TestThreeStep:
         current = rng.integers(0, 256, (96, 96), dtype=np.uint8)
         previous = rng.integers(0, 256, (96, 96), dtype=np.uint8)
         for block in partition(current, 16):
-            result = tss_search(current, previous, block, 7)
+            result = search_block("tss", current, previous, block, CONFIG, 0)
             assert result.evaluations <= 25
             assert result.estimations == 0
-            assert result.visited == result.evaluations
 
     def test_zero_motion(self):
         rng = np.random.default_rng(1)
         frame = rng.integers(0, 256, (64, 64), dtype=np.uint8)
-        result = tss_search(frame, frame, BlockRef(16, 16, 16), 7)
+        result = search_block("tss", frame, frame, BlockRef(16, 16, 16), CONFIG, 0)
         assert result.mv == (0, 0)
         assert result.sad == 0
 
@@ -54,7 +59,7 @@ class TestThreeStep:
         rng = np.random.default_rng(3)
         previous, current = rolled_pair(rng, 144, 176, 4, 4)
         for block in interior_blocks(current):
-            result = tss_search(current, previous, block, 7)
+            result = search_block("tss", current, previous, block, CONFIG, 0)
             assert result.mv == (4, 4)
             assert result.sad == 0
 
@@ -63,24 +68,23 @@ class TestThreeStep:
         current = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         previous = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         block = BlockRef(16, 16, 16)
-        assert tss_search(current, previous, block, 7) == tss_search(
-            current, previous, block, 7
-        )
+        assert search_block(
+            "tss", current, previous, block, CONFIG, 0
+        ) == search_block("tss", current, previous, block, CONFIG, 0)
 
     def test_small_window(self):
         rng = np.random.default_rng(5)
         frame = rng.integers(0, 256, (48, 48), dtype=np.uint8)
-        result = tss_search(frame, frame, BlockRef(16, 16, 16), 1)
+        block = BlockRef(16, 16, 16)
+        result = search_block("tss", frame, frame, block, SearchConfig(w=1), 0)
         assert result.mv == (0, 0)
-        with pytest.raises(ValueError):
-            tss_search(frame, frame, BlockRef(16, 16, 16), 0)
 
 
 class TestDiamond:
     def test_zero_motion_costs_one_large_plus_small_diamond(self):
         rng = np.random.default_rng(1)
         frame = rng.integers(0, 256, (64, 64), dtype=np.uint8)
-        result = ds_search(frame, frame, BlockRef(16, 16, 16), 7)
+        result = search_block("ds", frame, frame, BlockRef(16, 16, 16), CONFIG, 0)
         assert result.mv == (0, 0)
         assert result.sad == 0
         assert result.evaluations == 9 + 4
@@ -89,7 +93,7 @@ class TestDiamond:
         rng = np.random.default_rng(2)
         previous, current = rolled_pair(rng, 144, 176, 3, 0)
         for block in interior_blocks(current):
-            result = ds_search(current, previous, block, 7)
+            result = search_block("ds", current, previous, block, CONFIG, 0)
             assert result.mv == (3, 0)
             assert result.sad == 0
 
@@ -99,7 +103,7 @@ class TestDiamond:
         rng = np.random.default_rng(4)
         previous, current = rolled_pair(rng, 144, 176, 2, 1)
         evaluations = [
-            ds_search(current, previous, block, 7).evaluations
+            search_block("ds", current, previous, block, CONFIG, 0).evaluations
             for block in partition(current, 16)
         ]
         assert 9 <= np.mean(evaluations) <= 25
@@ -110,43 +114,44 @@ class TestDiamond:
             current = rng.integers(0, 256, (48, 48), dtype=np.uint8)
             previous = rng.integers(0, 256, (48, 48), dtype=np.uint8)
             for block in partition(current, 16):
-                result = ds_search(current, previous, block, 7)
-                assert result.evaluations == result.visited
+                probe = SearchProbe()
+                result = search_block("ds", current, previous, block, CONFIG, 0, probe)
+                assert len({(v.u, v.v) for v in probe.visits}) == result.evaluations
 
 
 class TestSharedContracts:
-    @pytest.mark.parametrize("search", [tss_search, ds_search])
-    def test_never_visits_invalid_candidates(self, search):
+    @BASELINES
+    def test_never_visits_invalid_candidates(self, algorithm):
         rng = np.random.default_rng(6)
         current = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         previous = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         height, width = previous.shape
         for block in partition(current, 16):
             probe = SearchProbe()
-            search(current, previous, block, 7, probe)
+            search_block(algorithm, current, previous, block, CONFIG, 0, probe)
             umin, umax, vmin, vmax = mv_bounds(block, width, height, 7)
             for visit in probe.visits:
                 assert umin <= visit.u <= umax
                 assert vmin <= visit.v <= vmax
 
-    @pytest.mark.parametrize("search", [tss_search, ds_search])
-    def test_distinct_positions_counted_once(self, search):
+    @BASELINES
+    def test_distinct_positions_counted_once(self, algorithm):
         rng = np.random.default_rng(7)
         current = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         previous = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         for block in partition(current, 16):
             probe = SearchProbe()
-            result = search(current, previous, block, 7, probe)
+            result = search_block(algorithm, current, previous, block, CONFIG, 0, probe)
             cells = {(v.u, v.v) for v in probe.visits}
             assert len(cells) == len(probe.visits) == result.evaluations
 
-    @pytest.mark.parametrize("search", [tss_search, ds_search])
-    def test_never_beats_exhaustive_search(self, search):
+    @BASELINES
+    def test_never_beats_exhaustive_search(self, algorithm):
         rng = np.random.default_rng(8)
         for _ in range(5):
             current = rng.integers(0, 256, (64, 64), dtype=np.uint8)
             previous = rng.integers(0, 256, (64, 64), dtype=np.uint8)
             for block in partition(current, 16):
-                fast = search(current, previous, block, 7)
+                fast = search_block(algorithm, current, previous, block, CONFIG, 0)
                 exhaustive = full_search(current, previous, block, 7)
                 assert fast.sad >= exhaustive.sad

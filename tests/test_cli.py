@@ -1,10 +1,14 @@
 """End-to-end tests for the benchmark harness CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blockmatch
 from blockmatch.cli import main
 from blockmatch.motion import ALGORITHMS
 from blockmatch.video_io import write_pgm
@@ -381,3 +385,41 @@ class TestArgumentSurface:
         )
         assert status == 1
         assert "du,dv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [("--frames", "0"), ("--width", "0", "--height", "0")],
+        ids=["frames", "size"],
+    )
+    def test_explicit_zero_synth_geometry_rejected(self, geometry, capsys):
+        status = run_cli(
+            "run",
+            "--algo", "fsa",
+            "--format", "synth",
+            "--input", "random:1,1",
+            *geometry,
+        )
+        assert status == 1
+        assert "bad synthetic geometry" in capsys.readouterr().err
+
+    def test_runs_without_scipy(self):
+        # scipy is a test-only dependency: the CLI, synthetic clips
+        # included, must import and run with it blocked.
+        script = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from blockmatch.cli import main\n"
+            "sys.exit(main(['run', '--algo', 'fsa', '--format', 'synth',"
+            " '--input', 'random:1,1', '--frames', '2',"
+            " '--width', '32', '--height', '32']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(blockmatch.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "fsa: frame_pairs=1" in done.stdout

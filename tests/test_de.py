@@ -7,15 +7,20 @@ import pytest
 
 from blockmatch import de
 from blockmatch.de import (
+    EVALUATED,
     Candidate,
     DeParams,
     crossover,
-    direct_fitness,
     donor_vector,
     mutate_best_1,
     pick_partners,
     select,
 )
+
+
+def direct_fitness(fn):
+    """Fitness provider under which every request is a true evaluation."""
+    return lambda position: (float(fn(position)), EVALUATED)
 
 
 def sphere(position):
@@ -196,7 +201,7 @@ class TestRun:
             _, trace = de.run(
                 direct_fitness(sphere), DeParams(rng_seed=seed), random_start(seed)
             )
-            best = trace.best_per_generation()
+            best = [g.best_fitness for g in trace.generations]
             assert len(best) == 8  # init snapshot + 7 generations
             assert all(b <= a for a, b in zip(best, best[1:]))
 

@@ -19,7 +19,7 @@ from blockmatch.motion import BlockResult, CellVisit, MotionVector
 
 
 def result(evaluations, estimations=0, sad=0, mv=(0, 0)):
-    return BlockResult(MotionVector(*mv), sad, evaluations, estimations, evaluations)
+    return BlockResult(MotionVector(*mv), sad, evaluations, estimations)
 
 
 class TestMse:

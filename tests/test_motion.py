@@ -13,19 +13,22 @@ from blockmatch.motion import (
     MotionVector,
     SearchConfig,
     SearchProbe,
-    candidate_to_lattice,
+    _clamped_cell,
     compensate,
-    debm_search,
     estimate_frame,
     full_search,
     grid_shape,
     initial_pattern,
-    is_interior,
     mv_bounds,
     partition,
     sad,
     search_block,
 )
+
+
+def is_interior(block, frame_width, frame_height, w):
+    """True when every displacement with |u|, |v| <= w is valid."""
+    return mv_bounds(block, frame_width, frame_height, w) == (-w, w, -w, w)
 
 
 def naive_sad(current, previous, block, mv):
@@ -145,7 +148,6 @@ class TestFullSearch:
         previous = random_frame(rng, 64, 64)
         result = full_search(current, previous, BlockRef(16, 16, 16), 7)
         assert result.evaluations == 225
-        assert result.visited == 225
         assert result.estimations == 0
 
     def test_corner_block_budget(self):
@@ -216,21 +218,25 @@ class TestInitialPattern:
         assert all(abs(u) <= w and abs(v) <= w for u, v in pattern)
 
 
+def lattice_cell(position, block, frame_width, frame_height, w):
+    return _clamped_cell(position, mv_bounds(block, frame_width, frame_height, w))
+
+
 class TestLatticeProjection:
     FRAME = (176, 144)
 
     def test_rounds_half_away_from_zero(self):
         block = BlockRef(48, 48, 16)
-        assert candidate_to_lattice((2.5, -2.5), block, *self.FRAME, 7) == (3, -3)
-        assert candidate_to_lattice((2.4, -2.4), block, *self.FRAME, 7) == (2, -2)
+        assert lattice_cell((2.5, -2.5), block, *self.FRAME, 7) == (3, -3)
+        assert lattice_cell((2.4, -2.4), block, *self.FRAME, 7) == (2, -2)
 
     def test_clamps_to_window(self):
         block = BlockRef(48, 48, 16)
-        assert candidate_to_lattice((9.2, 0.0), block, *self.FRAME, 7) == (7, 0)
+        assert lattice_cell((9.2, 0.0), block, *self.FRAME, 7) == (7, 0)
 
     def test_clamps_to_frame_validity(self):
         corner = BlockRef(0, 0, 16)
-        assert candidate_to_lattice((-3.0, -3.0), corner, *self.FRAME, 7) == (0, 0)
+        assert lattice_cell((-3.0, -3.0), corner, *self.FRAME, 7) == (0, 0)
 
     def test_result_always_valid(self):
         rng = np.random.default_rng(8)
@@ -238,7 +244,7 @@ class TestLatticeProjection:
         for _ in range(500):
             block = blocks[rng.integers(0, len(blocks))]
             position = tuple(rng.uniform(-12, 12, 2))
-            u, v = candidate_to_lattice(position, block, *self.FRAME, 7)
+            u, v = lattice_cell(position, block, *self.FRAME, 7)
             umin, umax, vmin, vmax = mv_bounds(block, *self.FRAME, 7)
             assert umin <= u <= umax and vmin <= v <= vmax
 
@@ -263,17 +269,18 @@ class TestDebmSearch:
         rng = np.random.default_rng(11)
         previous, current = rolled_pair(rng, 64, 64, 2, -1)
         for block in partition(current, 16):
-            result = debm_search(current, previous, block, self.CONFIG)
+            result = search_block("debm", current, previous, block, self.CONFIG, 0)
             requests = result.evaluations + result.estimations
             assert requests == 40
             assert result.evaluations >= 5
-            assert result.visited <= 40
 
     def test_initial_pattern_always_truly_evaluated(self):
         rng = np.random.default_rng(12)
         previous, current = rolled_pair(rng, 64, 64, 3, 2)
         probe = SearchProbe()
-        debm_search(current, previous, BlockRef(16, 16, 16), self.CONFIG, probe)
+        search_block(
+            "debm", current, previous, BlockRef(16, 16, 16), self.CONFIG, 0, probe
+        )
         first_five = probe.records[:5]
         assert [r.kind for r in first_five] == [EVALUATED] * 5
         assert [r.position for r in first_five] == initial_pattern(7)
@@ -282,11 +289,16 @@ class TestDebmSearch:
         rng = np.random.default_rng(13)
         previous, current = rolled_pair(rng, 64, 64, -2, 3)
         block = BlockRef(16, 16, 16)
-        first = debm_search(current, previous, block, self.CONFIG)
-        second = debm_search(current, previous, block, self.CONFIG)
-        assert first == second
-        other = SearchConfig(de=DeParams(rng_seed=99))
-        assert debm_search(current, previous, block, other) != first or True
+
+        def search(seed):
+            probe = SearchProbe()
+            config = SearchConfig(de=DeParams(rng_seed=seed))
+            result = search_block("debm", current, previous, block, config, 0, probe)
+            return result, probe.visits
+
+        first = search(0)
+        assert search(0) == first
+        assert search(99)[1] != first[1]
 
     def test_zero_motion_block_recovery(self):
         # With identical frames the origin, the first pattern point, is
@@ -300,8 +312,7 @@ class TestDebmSearch:
         blocks = partition(frame, 16)
         exact = 0
         for index, block in enumerate(blocks):
-            config = SearchConfig(de=DeParams(rng_seed=index))
-            result = debm_search(frame, frame, block, config)
+            result = search_block("debm", frame, frame, block, self.CONFIG, index)
             assert result.sad == sad(frame, frame, block, result.mv)
             exact += result.mv == (0, 0) and result.sad == 0
         assert exact >= 0.85 * len(blocks)
@@ -310,8 +321,9 @@ class TestDebmSearch:
         rng = np.random.default_rng(15)
         previous, current = rolled_pair(rng, 96, 96, 3, -2)
         for index, block in enumerate(partition(current, 16)):
-            config = SearchConfig(de=DeParams(rng_seed=index))
-            result = debm_search(current, previous, block, config)
+            result = search_block(
+                "debm", current, previous, block, self.CONFIG, index
+            )
             assert result.sad == sad(current, previous, block, result.mv)
 
     def test_reports_lowest_computed_cost(self):
@@ -319,8 +331,9 @@ class TestDebmSearch:
         previous, current = rolled_pair(rng, 96, 96, 3, -2)
         for index, block in enumerate(partition(current, 16)):
             probe = SearchProbe()
-            config = SearchConfig(de=DeParams(rng_seed=index))
-            result = debm_search(current, previous, block, config, probe)
+            result = search_block(
+                "debm", current, previous, block, self.CONFIG, index, probe
+            )
             evaluated = [r for r in probe.records if r.kind == EVALUATED]
             lowest = min(r.fitness for r in evaluated)
             assert result.sad == lowest
@@ -338,8 +351,9 @@ class TestDebmSearch:
             if not is_interior(block, width, height, 7):
                 continue
             probe = SearchProbe()
-            config = SearchConfig(de=DeParams(rng_seed=index))
-            result = debm_search(current, previous, block, config, probe)
+            result = search_block(
+                "debm", current, previous, block, self.CONFIG, index, probe
+            )
             cells = [(v.u, v.v) for v in probe.visits if v.kind == EVALUATED]
             assert len(cells) == len(set(cells)) == result.evaluations
 
@@ -347,8 +361,7 @@ class TestDebmSearch:
         rng = np.random.default_rng(16)
         previous, current = rolled_pair(rng, 96, 96, 1, 1)
         for index, block in enumerate(partition(current, 16)):
-            config = SearchConfig(de=DeParams(rng_seed=index))
-            debm = debm_search(current, previous, block, config)
+            debm = search_block("debm", current, previous, block, self.CONFIG, index)
             exhaustive = full_search(current, previous, block, 7)
             assert debm.sad >= exhaustive.sad
 
@@ -356,8 +369,8 @@ class TestDebmSearch:
         rng = np.random.default_rng(17)
         previous, current = rolled_pair(rng, 64, 64, 2, 2)
         probe = SearchProbe()
-        result = debm_search(
-            current, previous, BlockRef(32, 32, 16), self.CONFIG, probe
+        result = search_block(
+            "debm", current, previous, BlockRef(32, 32, 16), self.CONFIG, 0, probe
         )
         assert len(probe.records) == result.evaluations + result.estimations
         evaluated = sum(1 for r in probe.records if r.kind == EVALUATED)
@@ -365,7 +378,7 @@ class TestDebmSearch:
         assert evaluated == result.evaluations
         assert estimated == result.estimations
         assert len(probe.visits) == len(probe.records)
-        fits = probe.trace.best_per_generation()
+        fits = [g.best_fitness for g in probe.trace.generations]
         assert all(b <= a for a, b in zip(fits, fits[1:]))
 
 
@@ -467,13 +480,20 @@ class TestSearchBlock:
         seeded = SearchConfig(de=DeParams(rng_seed=40 ^ 4))
         probe = SearchProbe()
         result = search_block("debm", current, previous, block, config, 4, probe)
-        assert result == debm_search(current, previous, block, seeded)
+        assert result == search_block("debm", current, previous, block, seeded, 0)
         assert probe.trace is not None and len(probe.visits) == 40
 
     def test_unknown_algorithm_rejected(self):
         frame = np.zeros((16, 16), dtype=np.uint8)
         with pytest.raises(ValueError):
             search_block("zigzag", frame, frame, BlockRef(0, 0, 16), SearchConfig(), 0)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_off_frame_block_rejected(self, algorithm):
+        frame = np.zeros((64, 64), dtype=np.uint8)
+        block = BlockRef(60, 60, 16)
+        with pytest.raises(ValueError, match="does not fit the 64x64 frame"):
+            search_block(algorithm, frame, frame, block, SearchConfig(), 0)
 
 
 class TestCompensate:

@@ -10,6 +10,7 @@ from blockmatch.motion import BlockRef, BlockResult, MotionVector, SearchConfig
 from blockmatch.motion import estimate_frame, mv_bounds, partition
 from blockmatch.video_io import (
     FormatError,
+    _blur_wrap,
     SequenceSource,
     SynthParams,
     TruncationError,
@@ -240,6 +241,19 @@ class TestSynth:
         with pytest.raises(ValueError):
             list(synth_sequence("zoom", SynthParams()))
 
+    def test_blur_equals_scipy_gaussian_filter(self):
+        # Synthetic clips, and the acceptance data built from them, stay
+        # the same only while the blur matches scipy's to the last bit.
+        from scipy.ndimage import gaussian_filter
+
+        rng = np.random.default_rng(40)
+        # the smallest sizes are narrower than the kernel radius
+        for height, width in [(5, 7), (3, 12), (33, 17), (144, 176), (36, 64)]:
+            for sigma in [0.5, 0.7, 1.0, 2.0, 3.5, 4.0]:
+                image = rng.standard_normal((height, width))
+                expected = gaussian_filter(image, sigma, mode="wrap")
+                assert np.array_equal(_blur_wrap(image, sigma), expected)
+
 
 def sample_report():
     return SequenceReport(
@@ -304,8 +318,8 @@ class TestReports:
     def test_mv_dump_layout(self, tmp_path):
         blocks = [BlockRef(0, 0, 16), BlockRef(16, 0, 16)]
         results = [
-            BlockResult(MotionVector(3, -2), 120, 14, 26, 36),
-            BlockResult(MotionVector(0, 0), 0, 12, 28, 35),
+            BlockResult(MotionVector(3, -2), 120, 14, 26),
+            BlockResult(MotionVector(0, 0), 0, 12, 28),
         ]
         path = tmp_path / "mv.csv"
         write_mv_dump(str(path), blocks, [(1, results)])
