@@ -43,11 +43,6 @@ from blockmatch.motion import (
 from blockmatch.video_io import SynthParams, synth_sequence
 
 
-def is_interior(block, frame_width, frame_height, w):
-    """True when every displacement with |u|, |v| <= w is valid."""
-    return mv_bounds(block, frame_width, frame_height, w) == (-w, w, -w, w)
-
-
 def report(number, ok, name, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {number}] {status} {name}" + (f" ({detail})" if detail else ""))
@@ -124,7 +119,7 @@ def test_criterion_02_full_search_exhaustiveness():
             assert result.sad == best[0], "not the global minimum"
             assert tuple(result.mv) == best[1], "tie-break differs from scan order"
             assert result.evaluations == count
-            if is_interior(block, width, height, 7):
+            if mv_bounds(block, width, height, 7) == (-7, 7, -7, 7):
                 assert result.evaluations == 225
     elapsed = time.monotonic() - started
     ok = elapsed < 30.0
@@ -226,7 +221,9 @@ def test_criterion_05_exact_translation_recovery():
         height, width = current.shape
         blocks = partition(current, 16)
         interior = [
-            i for i, b in enumerate(blocks) if is_interior(b, width, height, 7)
+            i
+            for i, b in enumerate(blocks)
+            if mv_bounds(b, width, height, 7) == (-7, 7, -7, 7)
         ]
         _, fsa_results = estimate_frame(current, previous, SearchConfig(), "fsa")
         for i in interior:

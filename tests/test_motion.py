@@ -14,6 +14,7 @@ from blockmatch.motion import (
     SearchConfig,
     SearchProbe,
     _clamped_cell,
+    _debm_search,
     compensate,
     estimate_frame,
     full_search,
@@ -24,11 +25,6 @@ from blockmatch.motion import (
     sad,
     search_block,
 )
-
-
-def is_interior(block, frame_width, frame_height, w):
-    """True when every displacement with |u|, |v| <= w is valid."""
-    return mv_bounds(block, frame_width, frame_height, w) == (-w, w, -w, w)
 
 
 def naive_sad(current, previous, block, mv):
@@ -218,25 +214,21 @@ class TestInitialPattern:
         assert all(abs(u) <= w and abs(v) <= w for u, v in pattern)
 
 
-def lattice_cell(position, block, frame_width, frame_height, w):
-    return _clamped_cell(position, mv_bounds(block, frame_width, frame_height, w))
-
-
 class TestLatticeProjection:
     FRAME = (176, 144)
 
     def test_rounds_half_away_from_zero(self):
         block = BlockRef(48, 48, 16)
-        assert lattice_cell((2.5, -2.5), block, *self.FRAME, 7) == (3, -3)
-        assert lattice_cell((2.4, -2.4), block, *self.FRAME, 7) == (2, -2)
+        assert _clamped_cell((2.5, -2.5), mv_bounds(block, *self.FRAME, 7)) == (3, -3)
+        assert _clamped_cell((2.4, -2.4), mv_bounds(block, *self.FRAME, 7)) == (2, -2)
 
     def test_clamps_to_window(self):
         block = BlockRef(48, 48, 16)
-        assert lattice_cell((9.2, 0.0), block, *self.FRAME, 7) == (7, 0)
+        assert _clamped_cell((9.2, 0.0), mv_bounds(block, *self.FRAME, 7)) == (7, 0)
 
     def test_clamps_to_frame_validity(self):
         corner = BlockRef(0, 0, 16)
-        assert lattice_cell((-3.0, -3.0), corner, *self.FRAME, 7) == (0, 0)
+        assert _clamped_cell((-3.0, -3.0), mv_bounds(corner, *self.FRAME, 7)) == (0, 0)
 
     def test_result_always_valid(self):
         rng = np.random.default_rng(8)
@@ -244,7 +236,7 @@ class TestLatticeProjection:
         for _ in range(500):
             block = blocks[rng.integers(0, len(blocks))]
             position = tuple(rng.uniform(-12, 12, 2))
-            u, v = lattice_cell(position, block, *self.FRAME, 7)
+            u, v = _clamped_cell(position, mv_bounds(block, *self.FRAME, 7))
             umin, umax, vmin, vmax = mv_bounds(block, *self.FRAME, 7)
             assert umin <= u <= umax and vmin <= v <= vmax
 
@@ -348,7 +340,7 @@ class TestDebmSearch:
         previous, current = rolled_pair(rng, 96, 96, -2, 3)
         height, width = current.shape
         for index, block in enumerate(partition(current, 16)):
-            if not is_interior(block, width, height, 7):
+            if mv_bounds(block, width, height, 7) != (-7, 7, -7, 7):
                 continue
             probe = SearchProbe()
             result = search_block(
@@ -413,7 +405,7 @@ class TestEstimateFrame:
         outcomes = {
             (r.mv, r.evaluations, r.estimations)
             for block, r in zip(partition(current, 16), results)
-            if is_interior(block, width, height, 7)
+            if mv_bounds(block, width, height, 7) == (-7, 7, -7, 7)
         }
         assert len(outcomes) > 1
 
@@ -480,7 +472,13 @@ class TestSearchBlock:
         seeded = SearchConfig(de=DeParams(rng_seed=40 ^ 4))
         probe = SearchProbe()
         result = search_block("debm", current, previous, block, config, 4, probe)
-        assert result == search_block("debm", current, previous, block, seeded, 0)
+        # The oracle is a plain run at seed 40 ^ 4, outside the derivation;
+        # block 0 keeps rng_seed unchanged.
+        wide = current.astype(np.int16), previous.astype(np.int16)
+        assert result == _debm_search(*wide, block, seeded)
+        assert search_block(
+            "debm", current, previous, block, seeded, 0
+        ) == _debm_search(*wide, block, seeded)
         assert probe.trace is not None and len(probe.visits) == 40
 
     def test_unknown_algorithm_rejected(self):
@@ -570,6 +568,7 @@ class TestConfigDefaults:
             SearchConfig(n=0)
 
     def test_interior_predicate(self):
-        assert is_interior(BlockRef(16, 16, 16), 176, 144, 7)
-        assert not is_interior(BlockRef(0, 16, 16), 176, 144, 7)
-        assert not is_interior(BlockRef(160, 16, 16), 176, 144, 7)
+        # A block is interior when its bounds are the whole |u|,|v| <= w window.
+        assert mv_bounds(BlockRef(16, 16, 16), 176, 144, 7) == (-7, 7, -7, 7)
+        assert mv_bounds(BlockRef(0, 16, 16), 176, 144, 7) == (0, 7, -7, 7)
+        assert mv_bounds(BlockRef(160, 16, 16), 176, 144, 7) == (-7, 0, -7, 7)
