@@ -1,7 +1,7 @@
 """Motion-estimation toolkit: exhaustive, fixed-pattern and
 differential-evolution block matching with fitness estimation."""
 
-from .de import Candidate, DeParams, RunTrace
+from .de import Candidate, DeParams
 from .estimator import EvaluationRecord, HistoryStore, Rule, StrategyParams
 from .metrics import (
     FrameOutcome,

@@ -6,7 +6,7 @@ and report the same per-block accounting as the other algorithms.
 `motion.search_block` runs them by name, "tss" and "ds".
 """
 
-from .de import EVALUATED
+from .estimator import EVALUATED
 from .motion import (
     BlockRef,
     BlockResult,

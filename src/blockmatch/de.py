@@ -1,26 +1,17 @@
 """Differential evolution with best/1 mutation and binomial crossover.
 
-The optimizer minimizes over a real-valued search space of any dimension,
-starting from a given set of seed positions, one individual per seed.
-Fitness values come from a pluggable provider so callers can substitute
-estimated values for true evaluations; the provider reports, per request,
-whether the value was truly evaluated or estimated, and the run trace
-keeps that distinction for later accounting.
+The optimizer minimizes a plain `Position -> float` objective over a
+real-valued search space of any dimension, starting from a given set of
+seed positions, one individual per seed. The objective may return
+estimated rather than truly computed values; the optimizer does not
+distinguish them, so callers keep that accounting themselves.
 """
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 Position = tuple[float, ...]
-
-# Fitness provenance tags shared across the package.
-EVALUATED = "evaluated"
-ESTIMATED = "estimated"
-
-# A fitness provider maps a position to (value, kind) where kind is
-# EVALUATED or ESTIMATED.
-FitnessProvider = Callable[[Position], tuple[float, str]]
 
 
 @dataclass(frozen=True)
@@ -54,54 +45,6 @@ class Candidate:
 
     position: Position
     fitness: float | None = None
-
-
-class MutationResult(NamedTuple):
-    donor: Position
-    r1: int
-    r2: int
-
-
-class CrossoverResult(NamedTuple):
-    trial: Position
-    j_rand: int
-
-
-# ---------------------------------------------------------------------------
-# Run trace
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FitnessCall:
-    position: Position
-    value: float
-    kind: str
-
-
-@dataclass
-class MutationEvent:
-    target_index: int
-    best_index: int
-    r1: int
-    r2: int
-    j_rand: int
-
-
-@dataclass
-class GenerationRecord:
-    """Snapshot of one generation: index 0 is the initialized population."""
-
-    index: int
-    best_fitness: float
-    best_position: Position
-    calls: list[FitnessCall] = field(default_factory=list)
-    mutations: list[MutationEvent] = field(default_factory=list)
-
-
-@dataclass
-class RunTrace:
-    generations: list[GenerationRecord] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +81,19 @@ def mutate_best_1(
     target_index: int,
     params: DeParams,
     rng: random.Random,
-) -> MutationResult:
+) -> Position:
     """Donor = best + f * (partner1 - partner2), partners drawn per target.
 
     The donor may leave the search bounds; positions are only clamped when
     they are converted for fitness evaluation, never here.
     """
     r1, r2 = pick_partners(rng, len(population), target_index)
-    donor = donor_vector(
+    return donor_vector(
         population[best_index].position,
         population[r1].position,
         population[r2].position,
         params.f,
     )
-    return MutationResult(donor, r1, r2)
 
 
 def crossover(
@@ -159,20 +101,20 @@ def crossover(
     donor: Position,
     params: DeParams,
     rng: random.Random,
-) -> CrossoverResult:
+) -> Position:
     """Binomial crossover: each component comes from the donor with
-    probability cr, and the j_rand component comes from the donor always."""
+    probability cr, and one component drawn uniformly (j_rand) comes from
+    the donor always."""
     if len(target.position) != len(donor):
         raise ValueError(
             f"target dimension {len(target.position)} != donor dimension {len(donor)}"
         )
     dim = len(donor)
     j_rand = rng.randrange(dim)
-    trial = tuple(
+    return tuple(
         donor[j] if rng.random() <= params.cr or j == j_rand else target.position[j]
         for j in range(dim)
     )
-    return CrossoverResult(trial, j_rand)
 
 
 def select(target: Candidate, trial: Candidate) -> Candidate:
@@ -197,58 +139,48 @@ def best_index_of(population: Sequence[Candidate]) -> int:
 
 
 def run(
-    fitness: FitnessProvider,
+    objective: Callable[[Position], float],
     params: DeParams,
     seed_positions: Sequence[Sequence[float]],
     repair: Callable[[Position], Position] | None = None,
-) -> tuple[Candidate, RunTrace]:
-    """Minimize `fitness` and return (best of final population, trace).
+) -> tuple[Candidate, list[float]]:
+    """Minimize `objective` and return (best of final population,
+    best_per_generation).
 
+    best_per_generation holds the population-best fitness after
+    initialization and after each generation, generations + 1 values.
     The population is the seed positions, one individual each; at least 4
     are needed so the best vector plus two mutation partners distinct from
     the target always exist. Each generation mutates around the current
-    best (recomputed once per generation), crosses over, requests fitness
-    for every trial, and keeps the better of target and trial. When
-    `repair` is given, each trial is replaced by `repair(trial)` before
-    its fitness is requested; the seed positions are used as given.
-    Provider errors propagate unchanged.
+    best (recomputed once per generation), crosses over, requests the
+    objective for every trial, and keeps the better of target and trial.
+    When `repair` is given, each trial is replaced by `repair(trial)`
+    before its fitness is requested; the seed positions are used as given.
+    Objective errors propagate unchanged.
     """
     if len(seed_positions) < 4:
         raise ValueError(
             f"population needs at least 4 seed positions, got {len(seed_positions)}"
         )
     rng = random.Random(params.rng_seed)
-    population = [Candidate(tuple(float(x) for x in pos)) for pos in seed_positions]
-    trace = RunTrace()
+    population = []
+    for pos in seed_positions:
+        position = tuple(float(x) for x in pos)
+        population.append(Candidate(position, objective(position)))
+    best_index = best_index_of(population)
+    best_per_generation = [population[best_index].fitness]
 
-    init_record = GenerationRecord(0, 0.0, ())
-    for candidate in population:
-        value, kind = fitness(candidate.position)
-        candidate.fitness = value
-        init_record.calls.append(FitnessCall(candidate.position, value, kind))
-    best = population[best_index_of(population)]
-    init_record.best_fitness = best.fitness
-    init_record.best_position = best.position
-    trace.generations.append(init_record)
-
-    for generation in range(1, params.generations + 1):
-        record = GenerationRecord(generation, 0.0, ())
-        best_index = best_index_of(population)
+    for _ in range(params.generations):
         next_population = []
         for i, target in enumerate(population):
-            donor, r1, r2 = mutate_best_1(population, best_index, i, params, rng)
-            trial_position, j_rand = crossover(target, donor, params, rng)
+            donor = mutate_best_1(population, best_index, i, params, rng)
+            trial_position = crossover(target, donor, params, rng)
             if repair is not None:
                 trial_position = repair(trial_position)
-            value, kind = fitness(trial_position)
-            record.calls.append(FitnessCall(trial_position, value, kind))
-            record.mutations.append(MutationEvent(i, best_index, r1, r2, j_rand))
-            trial = Candidate(trial_position, value)
+            trial = Candidate(trial_position, objective(trial_position))
             next_population.append(select(target, trial))
         population = next_population
-        best = population[best_index_of(population)]
-        record.best_fitness = best.fitness
-        record.best_position = best.position
-        trace.generations.append(record)
+        best_index = best_index_of(population)
+        best_per_generation.append(population[best_index].fitness)
 
-    return population[best_index_of(population)], trace
+    return population[best_index], best_per_generation

@@ -16,7 +16,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .de import ESTIMATED, EVALUATED, Position
+from .de import Position
+
+# Fitness provenance tags: how a record's value was obtained.
+EVALUATED = "evaluated"
+ESTIMATED = "estimated"
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,10 @@ def fitness_of(
     position: Position,
     params: StrategyParams,
     objective: Callable[[Position], float],
-) -> tuple[float, str]:
-    """Resolve one fitness request and record it in the store.
+) -> float:
+    """Resolve one fitness request, record it in the store and return its
+    value; the record appended last carries the kind, EVALUATED or
+    ESTIMATED.
 
     NEAR_BEST and UNEXPLORED invoke the objective exactly once; a
     NEIGHBOR_COPY copies the nearest record's fitness and does not touch
@@ -150,17 +156,18 @@ def fitness_of(
         value = float(objective(position))
         kind = EVALUATED
     store.append(EvaluationRecord(tuple(position), value, kind))
-    return value, kind
+    return value
 
 
 def provider(
     store: HistoryStore,
     params: StrategyParams,
     objective: Callable[[Position], float],
-):
-    """Bind store, params and objective into a fitness provider."""
+) -> Callable[[Position], float]:
+    """Bind store, params and objective into the objective `de.run`
+    minimizes."""
 
-    def request(position: Position) -> tuple[float, str]:
+    def request(position: Position) -> float:
         return fitness_of(store, position, params, objective)
 
     return request

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .de import ESTIMATED, EVALUATED
+from .estimator import ESTIMATED, EVALUATED
 from .motion import BlockResult, CellVisit, MotionVector
 
 PEAK = 255.0

@@ -15,8 +15,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import de
-from .de import DeParams, EVALUATED, Position, RunTrace
-from .estimator import EvaluationRecord, HistoryStore, StrategyParams, provider
+from .de import DeParams, Position
+from .estimator import (
+    EVALUATED,
+    EvaluationRecord,
+    HistoryStore,
+    StrategyParams,
+    provider,
+)
 
 # The searches search_block dispatches to, by name.
 ALGORITHMS = ("fsa", "debm", "tss", "ds")
@@ -77,11 +83,19 @@ class CellVisit(NamedTuple):
 
 @dataclass
 class SearchProbe:
-    """Optional diagnostics collector for a single block search."""
+    """Optional diagnostics collector for a single block search, the
+    package's one diagnostics path; passing one never changes a result.
+
+    visits: the cells the search obtained a cost for, in order, each
+        tagged EVALUATED or ESTIMATED; fsa, tss and ds list a cell once.
+    records: debm's history store, evaluated and estimated entries alike.
+    best_per_generation: debm's population-best fitness after
+        initialization and after each generation.
+    """
 
     visits: list[CellVisit] = field(default_factory=list)
     records: list[EvaluationRecord] = field(default_factory=list)
-    trace: RunTrace | None = None
+    best_per_generation: list[float] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +370,7 @@ def _debm_search(
         u, v = position
         return float(_sad_wide(cur, prev, block, int(u), int(v)))
 
-    _, trace = de.run(
+    _, best_per_generation = de.run(
         provider(store, config.strategy, objective),
         config.de,
         seeds,
@@ -371,7 +385,7 @@ def _debm_search(
     mv = MotionVector(*map(int, best.position))
     estimations = len(store.records) - true_evaluations
     if probe is not None:
-        probe.trace = trace
+        probe.best_per_generation = best_per_generation
         probe.records = list(store.records)
         probe.visits = [
             CellVisit(*map(int, r.position), r.kind)

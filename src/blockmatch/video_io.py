@@ -89,6 +89,9 @@ def _iter_y4m(path: str, limit: int | None) -> Iterator[np.ndarray]:
         colorspace = b"C420"
         for token in header.split()[1:]:
             tag, value = token[:1], token[1:]
+            if tag in (b"W", b"H") and not value.isdigit():
+                name = token.decode(errors="replace")
+                raise FormatError(f"bad y4m geometry token {name} in {path}", offset=0)
             if tag == b"W":
                 width = int(value)
             elif tag == b"H":
@@ -105,50 +108,46 @@ def _iter_y4m(path: str, limit: int | None) -> Iterator[np.ndarray]:
                 f"in {path}; only 4:2:0 is handled"
             )
         _check_dims(width, height)
-        y_size = width * height
-        chroma_size = y_size // 2
-        frames_read = 0
-        while limit is None or frames_read < limit:
+
+        def at_frame() -> bool:
             offset = stream.tell()
             marker = stream.readline()
-            if marker == b"":
-                break
-            if not marker.startswith(b"FRAME"):
-                raise FormatError(
-                    f"expected FRAME marker in {path}", offset=offset
-                )
-            luma = stream.read(y_size)
-            if len(luma) < y_size:
-                raise TruncationError(f"truncated luma plane in {path}", frames_read)
-            chroma = stream.read(chroma_size)
-            if len(chroma) < chroma_size:
-                raise TruncationError(
-                    f"truncated chroma planes in {path}", frames_read
-                )
-            yield np.frombuffer(luma, dtype=np.uint8).reshape(height, width).copy()
-            frames_read += 1
+            if marker and not marker.startswith(b"FRAME"):
+                raise FormatError(f"expected FRAME marker in {path}", offset=offset)
+            return marker != b""
+
+        yield from _read_frames(stream, path, width, height, limit, at_frame)
 
 
 def _iter_yuv420(
     path: str, width: int, height: int, limit: int | None
 ) -> Iterator[np.ndarray]:
+    with open(path, "rb") as stream:
+        yield from _read_frames(
+            stream, path, width, height, limit, lambda: stream.peek(1) != b""
+        )
+
+
+def _read_frames(
+    stream, path: str, width: int, height: int, limit: int | None, at_frame
+) -> Iterator[np.ndarray]:
+    """Yield the luma plane of each 4:2:0 frame while fewer than `limit`
+    were read and `at_frame()` says another frame starts; a frame cut short
+    raises TruncationError."""
     y_size = width * height
     chroma_size = y_size // 2
-    with open(path, "rb") as stream:
-        frames_read = 0
-        while limit is None or frames_read < limit:
-            luma = stream.read(y_size)
-            if luma == b"":
-                break
-            if len(luma) < y_size:
-                raise TruncationError(f"truncated luma plane in {path}", frames_read)
-            chroma = stream.read(chroma_size)
-            if len(chroma) < chroma_size:
-                raise TruncationError(
-                    f"truncated chroma planes in {path}", frames_read
-                )
-            yield np.frombuffer(luma, dtype=np.uint8).reshape(height, width).copy()
-            frames_read += 1
+    frames_read = 0
+    while (limit is None or frames_read < limit) and at_frame():
+        luma = stream.read(y_size)
+        if len(luma) < y_size:
+            raise TruncationError(f"truncated luma plane in {path}", frames_read)
+        chroma = stream.read(chroma_size)
+        if len(chroma) < chroma_size:
+            raise TruncationError(
+                f"truncated chroma planes in {path}", frames_read
+            )
+        yield np.frombuffer(luma, dtype=np.uint8).reshape(height, width).copy()
+        frames_read += 1
 
 
 def _pgm_paths(pattern: str) -> list[str]:

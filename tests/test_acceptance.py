@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from blockmatch.cli import main
-from blockmatch.de import DeParams, ESTIMATED, EVALUATED
+from blockmatch.de import DeParams
 from blockmatch.estimator import (
+    ESTIMATED,
+    EVALUATED,
     EvaluationRecord,
     HistoryStore,
     Rule,
@@ -324,8 +326,8 @@ def test_criterion_08_fitness_strategy_dispatch():
     # empty store -> true evaluation
     store = HistoryStore()
     assert classify(store, (0.0, 0.0), params) is Rule.UNEXPLORED
-    value, kind = fitness_of(store, (0.0, 0.0), params, objective)
-    assert (kind, calls[0]) == (EVALUATED, 1)
+    fitness_of(store, (0.0, 0.0), params, objective)
+    assert (store.records[-1].kind, calls[0]) == (EVALUATED, 1)
 
     # far neighbor -> true evaluation
     store = HistoryStore()
@@ -350,7 +352,8 @@ def test_criterion_08_fitness_strategy_dispatch():
     store.append(EvaluationRecord((6.0, 0.0), 80.0, EVALUATED))
     calls[0] = 0
     assert classify(store, (6.0, 1.0), params) is Rule.NEIGHBOR_COPY
-    value, kind = fitness_of(store, (6.0, 1.0), params, objective)
+    value = fitness_of(store, (6.0, 1.0), params, objective)
+    kind = store.records[-1].kind
     assert (value, kind, calls[0]) == (80.0, ESTIMATED, 0)
 
     # exact duplicate of the best -> re-evaluated; of a non-best -> copied
@@ -360,7 +363,8 @@ def test_criterion_08_fitness_strategy_dispatch():
     assert calls[0] == 1
     calls[0] = 0
     assert classify(store, (6.0, 0.0), params) is Rule.NEIGHBOR_COPY
-    value, kind = fitness_of(store, (6.0, 0.0), params, objective)
+    value = fitness_of(store, (6.0, 0.0), params, objective)
+    kind = store.records[-1].kind
     assert (value, kind, calls[0]) == (80.0, ESTIMATED, 0)
 
     # every copy matches a stored record within the 2.5 px threshold
@@ -368,9 +372,10 @@ def test_criterion_08_fitness_strategy_dispatch():
     store = HistoryStore()
     for _ in range(300):
         position = (float(rng.uniform(-7, 7)), float(rng.uniform(-7, 7)))
-        value, kind = fitness_of(
+        value = fitness_of(
             store, position, params, lambda p: float(rng.integers(0, 1000))
         )
+        kind = store.records[-1].kind
         if kind == ESTIMATED:
             assert any(
                 r.fitness == value
@@ -418,7 +423,7 @@ def test_criterion_10_monotone_population_best():
             probe = SearchProbe()
             config = SearchConfig(de=DeParams(rng_seed=seed))
             search_block("debm", current, previous, block, config, index, probe)
-            best = [g.best_fitness for g in probe.trace.generations]
+            best = probe.best_per_generation
             assert all(b <= a for a, b in zip(best, best[1:])), (
                 f"best fitness increased in block {block} seed {seed}"
             )

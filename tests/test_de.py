@@ -7,7 +7,6 @@ import pytest
 
 from blockmatch import de
 from blockmatch.de import (
-    EVALUATED,
     Candidate,
     DeParams,
     crossover,
@@ -18,19 +17,46 @@ from blockmatch.de import (
 )
 
 
-def direct_fitness(fn):
-    """Fitness provider under which every request is a true evaluation."""
-    return lambda position: (float(fn(position)), EVALUATED)
-
-
 def sphere(position):
     return sum(x * x for x in position)
+
+
+def recording(fn):
+    """`fn` as an objective that also logs every requested position, in
+    request order, in its `requested` list."""
+
+    def objective(position):
+        objective.requested.append(position)
+        return fn(position)
+
+    objective.requested = []
+    return objective
 
 
 def random_start(seed, count=5):
     """`count` start positions drawn uniformly from the +-7 box."""
     rng = random.Random(seed)
     return [(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0)) for _ in range(count)]
+
+
+def forced_index(seed, dim):
+    """The j_rand of a crossover run on random.Random(seed): its first draw."""
+    return random.Random(seed).randrange(dim)
+
+
+@pytest.fixture
+def partner_draws(monkeypatch):
+    """Every de.pick_partners call as (population size, target, r1, r2)."""
+    draws = []
+    pick = de.pick_partners
+
+    def logged(rng, population_size, target_index):
+        r1, r2 = pick(rng, population_size, target_index)
+        draws.append((population_size, target_index, r1, r2))
+        return r1, r2
+
+    monkeypatch.setattr(de, "pick_partners", logged)
+    return draws
 
 
 SEEDS = [(0.0, 0.0), (-4.0, 0.0), (4.0, 0.0), (0.0, -4.0), (0.0, 4.0)]
@@ -67,30 +93,34 @@ class TestDeParams:
 
 class TestInitPopulation:
     def test_exact_seed_pattern(self):
-        _, trace = de.run(direct_fitness(sphere), DeParams(), SEEDS)
-        assert [c.position for c in trace.generations[0].calls] == SEEDS
-        assert all(len(g.mutations) == 5 for g in trace.generations[1:])
+        objective = recording(sphere)
+        de.run(objective, DeParams(), SEEDS)
+        assert objective.requested[:5] == SEEDS
+        assert len(objective.requested) == 5 * (1 + DeParams().generations)
 
     def test_single_seed(self):
         with pytest.raises(ValueError):
-            de.run(direct_fitness(sphere), DeParams(), [(0.0, 0.0)])
+            de.run(sphere, DeParams(), [(0.0, 0.0)])
 
     def test_zero_population_rejected(self):
         with pytest.raises(ValueError):
-            de.run(direct_fitness(sphere), DeParams(), [])
+            de.run(sphere, DeParams(), [])
 
     def test_one_individual_per_seed(self):
         start = random_start(3, count=7)
         params = DeParams(rng_seed=3)
-        _, trace = de.run(direct_fitness(sphere), params, start)
-        assert [c.position for c in trace.generations[0].calls] == start
-        assert all(len(g.calls) == 7 for g in trace.generations)
+        objective = recording(sphere)
+        de.run(objective, params, start)
+        assert objective.requested[:7] == start
+        assert len(objective.requested) == 7 * (1 + params.generations)
 
     def test_population_needs_best_plus_partners(self):
         with pytest.raises(ValueError):
-            de.run(direct_fitness(sphere), DeParams(), SEEDS[:3])
-        _, trace = de.run(direct_fitness(sphere), DeParams(), SEEDS[:4])
-        assert len(trace.generations[0].calls) == 4
+            de.run(sphere, DeParams(), SEEDS[:3])
+        objective = recording(sphere)
+        de.run(objective, DeParams(), SEEDS[:4])
+        assert objective.requested[:4] == SEEDS[:4]
+        assert len(objective.requested) == 4 * (1 + DeParams().generations)
 
 
 class TestMutation:
@@ -101,7 +131,7 @@ class TestMutation:
     def test_zero_scale_returns_best(self):
         assert donor_vector((2.0, 3.0), (5.0, 1.0), (-1.0, 9.0), 0.0) == (2.0, 3.0)
 
-    def test_equal_partners_return_best(self):
+    def test_equal_partners_return_best(self, partner_draws):
         # all non-target members share one position, so any partner draw
         # yields a zero difference vector
         population = [
@@ -110,8 +140,9 @@ class TestMutation:
             Candidate((5.0, 5.0)),
             Candidate((5.0, 5.0)),
         ]
-        donor, r1, r2 = mutate_best_1(population, 0, 0, DeParams(), random.Random(9))
+        donor = mutate_best_1(population, 0, 0, DeParams(), random.Random(9))
         assert donor == (2.0, 3.0)
+        [(_, _, r1, r2)] = partner_draws
         assert r1 != r2 and r1 != 0 and r2 != 0
 
     def test_partners_distinct_from_target(self):
@@ -134,23 +165,22 @@ class TestMutation:
             Candidate((-7.0, 7.0)),
             Candidate((0.0, 0.0)),
         ]
-        donor, _, _ = mutate_best_1(
-            population, 0, 3, DeParams(f=2.0), random.Random(5)
-        )
+        donor = mutate_best_1(population, 0, 3, DeParams(f=2.0), random.Random(5))
         assert len(donor) == 2  # no clamping inside the optimizer
 
 
 class TestCrossover:
     def test_full_rate_copies_donor(self):
         target = Candidate((1.0, 2.0))
-        trial, _ = crossover(target, (9.0, 8.0), DeParams(cr=1.0), random.Random(0))
+        trial = crossover(target, (9.0, 8.0), DeParams(cr=1.0), random.Random(0))
         assert trial == (9.0, 8.0)
 
     def test_zero_rate_keeps_target_except_forced_index(self):
         target = Candidate((1.0, 2.0))
         donor = (9.0, 8.0)
         for seed in range(50):
-            trial, j_rand = crossover(target, donor, DeParams(cr=0.0), random.Random(seed))
+            trial = crossover(target, donor, DeParams(cr=0.0), random.Random(seed))
+            j_rand = forced_index(seed, 2)
             assert trial[j_rand] == donor[j_rand]
             other = 1 - j_rand
             assert trial[other] == target.position[other]
@@ -159,7 +189,8 @@ class TestCrossover:
         target = Candidate((1.0, 2.0, 3.0))
         donor = (9.0, 8.0, 7.0)
         for seed in range(200):
-            trial, j_rand = crossover(target, donor, DeParams(), random.Random(seed))
+            trial = crossover(target, donor, DeParams(), random.Random(seed))
+            j_rand = forced_index(seed, 3)
             assert trial[j_rand] == donor[j_rand]
 
     def test_seeded_determinism(self):
@@ -198,32 +229,31 @@ class TestSelect:
 class TestRun:
     def test_population_best_monotone_on_sphere(self):
         for seed in range(25):
-            _, trace = de.run(
-                direct_fitness(sphere), DeParams(rng_seed=seed), random_start(seed)
-            )
-            best = [g.best_fitness for g in trace.generations]
+            _, best = de.run(sphere, DeParams(rng_seed=seed), random_start(seed))
             assert len(best) == 8  # init snapshot + 7 generations
             assert all(b <= a for a, b in zip(best, best[1:]))
 
     def test_trace_is_bitwise_reproducible(self):
         params = DeParams(rng_seed=123)
         start = random_start(123)
-        best_a, trace_a = de.run(direct_fitness(sphere), params, start)
-        best_b, trace_b = de.run(direct_fitness(sphere), params, start)
+        objective_a, objective_b = recording(sphere), recording(sphere)
+        best_a, per_generation_a = de.run(objective_a, params, start)
+        best_b, per_generation_b = de.run(objective_b, params, start)
         assert best_a == best_b
-        assert trace_a == trace_b
+        assert per_generation_a == per_generation_b
+        assert objective_a.requested == objective_b.requested
 
-    def test_partner_indices_valid_throughout(self):
+    def test_partner_indices_valid_throughout(self, partner_draws):
         for seed in range(20):
-            _, trace = de.run(
-                direct_fitness(sphere), DeParams(rng_seed=seed), random_start(seed)
-            )
-            for generation in trace.generations[1:]:
-                assert len(generation.mutations) == 5
-                for event in generation.mutations:
-                    assert event.r1 != event.r2
-                    assert event.r1 != event.target_index
-                    assert event.r2 != event.target_index
+            partner_draws.clear()
+            de.run(sphere, DeParams(rng_seed=seed), random_start(seed))
+            # one draw per target, targets in population order, each generation
+            assert [target for _, target, _, _ in partner_draws] == list(range(5)) * 7
+            for size, target, r1, r2 in partner_draws:
+                assert size == 5
+                assert r1 != r2
+                assert r1 != target
+                assert r2 != target
 
     def test_converges_near_origin(self):
         # The optimum sits at the origin (verified by a brute-force grid
@@ -238,31 +268,29 @@ class TestRun:
         hits = 0
         for seed in range(20):
             best, _ = de.run(
-                direct_fitness(sphere),
-                DeParams(rng_seed=seed, **params_base),
-                random_start(seed),
+                sphere, DeParams(rng_seed=seed, **params_base), random_start(seed)
             )
             hits += math.dist(best.position, (0.0, 0.0)) <= 1.0
         assert hits >= 18
 
     def test_seeded_start_keeps_known_optimum(self):
-        best, trace = de.run(direct_fitness(sphere), DeParams(rng_seed=7), SEEDS)
+        best, per_generation = de.run(sphere, DeParams(rng_seed=7), SEEDS)
         assert best.fitness == 0.0
-        assert trace.generations[0].best_fitness == 0.0
+        assert per_generation[0] == 0.0
 
     def test_objective_errors_propagate(self):
         def broken(position):
             raise RuntimeError("objective exploded")
 
         with pytest.raises(RuntimeError, match="objective exploded"):
-            de.run(direct_fitness(broken), DeParams(), random_start(0))
+            de.run(broken, DeParams(), random_start(0))
 
     def test_requests_match_budget(self):
         params = DeParams(rng_seed=5)
         start = random_start(5)
-        _, trace = de.run(direct_fitness(sphere), params, start)
-        total = sum(len(g.calls) for g in trace.generations)
-        assert total == len(start) * (1 + params.generations)
+        objective = recording(sphere)
+        de.run(objective, params, start)
+        assert len(objective.requested) == len(start) * (1 + params.generations)
 
     def test_repair_applies_to_every_trial_and_no_seed(self):
         seeds = [(0.5, 0.5), (-4.0, 0.0), (4.0, 0.0), (0.0, -4.0), (0.0, 4.0)]
@@ -273,8 +301,9 @@ class TestRun:
             return tuple(float(round(x)) for x in position)
 
         params = DeParams(rng_seed=9)
-        _, trace = de.run(direct_fitness(sphere), params, seeds, to_integers)
-        assert [c.position for c in trace.generations[0].calls] == seeds
-        requested = [c.position for g in trace.generations[1:] for c in g.calls]
+        objective = recording(sphere)
+        de.run(objective, params, seeds, to_integers)
+        assert objective.requested[:5] == seeds
+        requested = objective.requested[5:]
         assert len(proposed) == 5 * params.generations
         assert requested == [tuple(float(round(x)) for x in p) for p in proposed]

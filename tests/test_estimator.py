@@ -6,8 +6,9 @@ import random
 import pytest
 
 from blockmatch import estimator
-from blockmatch.de import ESTIMATED, EVALUATED
 from blockmatch.estimator import (
+    ESTIMATED,
+    EVALUATED,
     EvaluationRecord,
     HistoryStore,
     Rule,
@@ -182,25 +183,25 @@ class TestFitnessOf:
 
     def test_empty_store_evaluates(self):
         store = HistoryStore()
-        value, kind = fitness_of(store, (0.0, 0.0), D, lambda p: 1234.0)
+        value = fitness_of(store, (0.0, 0.0), D, lambda p: 1234.0)
+        kind = store.records[-1].kind
         assert (value, kind) == (1234.0, EVALUATED)
         assert len(store) == 1
 
     def test_near_best_invokes_objective_once(self):
         store = store_of(((2.0, 2.0), 500.0))
         calls = []
-        value, kind = fitness_of(
-            store, (2.0, 3.0), D, lambda p: calls.append(p) or 321.0
-        )
-        assert kind == EVALUATED
+        fitness_of(store, (2.0, 3.0), D, lambda p: calls.append(p) or 321.0)
+        assert store.records[-1].kind == EVALUATED
         assert len(calls) == 1
 
     def test_copy_skips_objective(self):
         store = store_of(((0.0, 0.0), 50.0), ((6.0, 0.0), 80.0))
         calls = []
-        value, kind = fitness_of(
+        value = fitness_of(
             store, (6.0, 1.0), D, lambda p: calls.append(p) or 0.0
         )
+        kind = store.records[-1].kind
         assert (value, kind) == (80.0, ESTIMATED)
         assert calls == []
         assert len(store) == 3
@@ -208,14 +209,13 @@ class TestFitnessOf:
     def test_duplicate_of_best_re_evaluates(self):
         store = store_of(((1.0, 1.0), 10.0), ((5.0, 5.0), 20.0))
         calls = []
-        value, kind = fitness_of(
-            store, (1.0, 1.0), D, lambda p: calls.append(p) or 10.0
-        )
-        assert kind == EVALUATED and len(calls) == 1
+        fitness_of(store, (1.0, 1.0), D, lambda p: calls.append(p) or 10.0)
+        assert store.records[-1].kind == EVALUATED and len(calls) == 1
 
     def test_duplicate_of_non_best_copies(self):
         store = store_of(((0.0, 0.0), 10.0), ((6.0, 6.0), 20.0))
-        value, kind = fitness_of(store, (6.0, 6.0), D, lambda p: 0.0)
+        value = fitness_of(store, (6.0, 6.0), D, lambda p: 0.0)
+        kind = store.records[-1].kind
         assert (value, kind) == (20.0, ESTIMATED)
 
     def test_store_untouched_when_objective_fails(self):
@@ -232,7 +232,8 @@ class TestFitnessOf:
         # an estimated record may later serve as a copy source itself
         store = store_of(((0.0, 0.0), 10.0), ((6.0, 0.0), 30.0))
         fitness_of(store, (6.0, 1.0), D, lambda p: 0.0)  # copied 30
-        value, kind = fitness_of(store, (6.0, 2.0), D, lambda p: 0.0)
+        value = fitness_of(store, (6.0, 2.0), D, lambda p: 0.0)
+        kind = store.records[-1].kind
         assert (value, kind) == (30.0, ESTIMATED)
 
 
@@ -260,9 +261,10 @@ class TestAccountingProperties:
             store = HistoryStore()
             for _ in range(40):
                 position = (rng.uniform(-7, 7), rng.uniform(-7, 7))
-                value, kind = fitness_of(
+                value = fitness_of(
                     store, position, D, lambda p: float(rng.randrange(1000))
                 )
+                kind = store.records[-1].kind
                 if kind == ESTIMATED:
                     sources = [
                         r

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blockmatch.de import ESTIMATED, EVALUATED
+from blockmatch.estimator import ESTIMATED, EVALUATED
 from blockmatch.metrics import (
     FrameOutcome,
     aggregate,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blockmatch.de import DeParams, ESTIMATED, EVALUATED
+from blockmatch.de import DeParams
+from blockmatch.estimator import ESTIMATED, EVALUATED
 from blockmatch.motion import (
     ALGORITHMS,
     BlockRef,
@@ -370,7 +371,7 @@ class TestDebmSearch:
         assert evaluated == result.evaluations
         assert estimated == result.estimations
         assert len(probe.visits) == len(probe.records)
-        fits = [g.best_fitness for g in probe.trace.generations]
+        fits = probe.best_per_generation
         assert all(b <= a for a, b in zip(fits, fits[1:]))
 
 
@@ -464,6 +465,21 @@ class TestSearchBlock:
             assert result.sad >= exhaustive.sad
             assert result.sad == sad(current, previous, block, result.mv)
 
+            probe = SearchProbe()
+            probed = search_block(
+                algorithm, current, previous, block, config, index, probe
+            )
+            assert probed == result
+            if algorithm == "debm":
+                best = probe.best_per_generation
+                assert len(probe.visits) == result.evaluations + result.estimations
+                assert len(best) == config.de.generations + 1
+                assert all(b <= a for a, b in zip(best, best[1:]))
+            else:
+                # fsa, tss and ds never evaluate a cell twice
+                cells = {(visit.u, visit.v) for visit in probe.visits}
+                assert len(cells) == len(probe.visits) == result.evaluations
+
     def test_debm_seed_derives_from_block_index(self):
         rng = np.random.default_rng(24)
         previous, current = rolled_pair(rng, 48, 48, 2, 1)
@@ -479,7 +495,7 @@ class TestSearchBlock:
         assert search_block(
             "debm", current, previous, block, seeded, 0
         ) == _debm_search(*wide, block, seeded)
-        assert probe.trace is not None and len(probe.visits) == 40
+        assert len(probe.best_per_generation) == 8 and len(probe.visits) == 40
 
     def test_unknown_algorithm_rejected(self):
         frame = np.zeros((16, 16), dtype=np.uint8)

@@ -64,10 +64,17 @@ class TestY4m:
             list(open_sequence(source))
         assert info.value.offset == 0
 
-    def test_missing_geometry(self, tmp_path):
-        source = self.write(tmp_path / "bad.y4m", b"YUV4MPEG2 W16 F25:1\nFRAME\n")
-        with pytest.raises(FormatError):
+    @pytest.mark.parametrize(
+        "header",
+        [b"YUV4MPEG2 W16 F25:1\n", b"YUV4MPEG2 Wabc H16\n"],
+        ids=["no-height", "non-numeric-width"],
+    )
+    def test_missing_geometry(self, tmp_path, header):
+        source = self.write(tmp_path / "bad.y4m", header + b"FRAME\n")
+        with pytest.raises(FormatError) as info:
             list(open_sequence(source))
+        assert info.value.offset == 0
+        assert str(source.path) in str(info.value)
 
     def test_non_420_chroma_rejected(self, tmp_path):
         source = self.write(
