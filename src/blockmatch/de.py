@@ -9,7 +9,7 @@ distinguish them, so callers keep that accounting themselves.
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 Position = tuple[float, ...]
 
@@ -138,6 +138,23 @@ def best_index_of(population: Sequence[Candidate]) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Generation(NamedTuple):
+    best_fitness: float
+    calls: tuple = ()
+    mutations: tuple = ()
+
+
+class _BestPerGeneration(list):
+    """A list of floats whose `generations` view shows each value as a
+    generation that recorded no fitness calls or mutation events: the
+    shape the benchmark's tracer (bench/tracing.py) reads. The view is
+    built only when read."""
+
+    @property
+    def generations(self) -> list[_Generation]:
+        return [_Generation(value) for value in self]
+
+
 def run(
     objective: Callable[[Position], float],
     params: DeParams,
@@ -168,7 +185,7 @@ def run(
         position = tuple(float(x) for x in pos)
         population.append(Candidate(position, objective(position)))
     best_index = best_index_of(population)
-    best_per_generation = [population[best_index].fitness]
+    best_per_generation = _BestPerGeneration([population[best_index].fitness])
 
     for _ in range(params.generations):
         next_population = []

@@ -307,3 +307,10 @@ class TestRun:
         requested = objective.requested[5:]
         assert len(proposed) == 5 * params.generations
         assert requested == [tuple(float(round(x)) for x in p) for p in proposed]
+
+    def test_generations_view_mirrors_best_per_generation(self):
+        # The benchmark's tracer reads the returned list through this view.
+        _, per_generation = de.run(sphere, DeParams(rng_seed=3), random_start(3))
+        generations = per_generation.generations
+        assert [g.best_fitness for g in generations] == per_generation
+        assert all(g.calls == () and g.mutations == () for g in generations)
