@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import de
 from .de import DeParams, Position
@@ -202,8 +203,13 @@ def sad(
         raise ValueError(
             f"candidate ({u}, {v}) moves block {block} outside the previous frame"
         )
+    # Widen only the two patches the cost reads, not the whole frames.
     return _sad_wide(
-        current.astype(np.int16), previous.astype(np.int16), block, u, v
+        current[y : y + n, x : x + n].astype(np.int16),
+        previous[y + v : y + v + n, x + u : x + u + n].astype(np.int16),
+        BlockRef(0, 0, n),
+        0,
+        0,
     )
 
 
@@ -212,24 +218,43 @@ def sad(
 # ---------------------------------------------------------------------------
 
 
+def _sad_accumulator(n: int) -> type:
+    """Narrowest integer dtype that holds the SAD of an n x n block of
+    8-bit pixels: int32 up to n = 2901, int64 above."""
+    return np.int32 if n * n * 255 <= np.iinfo(np.int32).max else np.int64
+
+
 def _full_search(
     cur: np.ndarray,
-    prev: np.ndarray,
+    windows: np.ndarray,
     block: BlockRef,
     w: int,
     probe: SearchProbe | None = None,
 ) -> BlockResult:
-    height, width = prev.shape
+    """Exhaustive search of one block.
+
+    `cur` is the widened current frame. `windows` is
+    `sliding_window_view(prev, (n, n))` of the widened previous frame,
+    built once per frame pair, so windows[y, x] is the n x n patch whose
+    top-left pixel is (x, y) and the frame size follows from its shape.
+    Only this block's candidate patches are sliced from it and differenced.
+    """
     x, y, n = block
+    height, width = windows.shape[0] + n - 1, windows.shape[1] + n - 1
     umin, umax, vmin, vmax = mv_bounds(block, width, height, w)
-    template = cur[y : y + n, x : x + n]
-    region = prev[y + vmin : y + vmax + n, x + umin : x + umax + n]
-    windows = np.lib.stride_tricks.sliding_window_view(region, (n, n))
-    sads = np.abs(windows - template).sum(axis=(2, 3), dtype=np.int64)
+    rows, cols = vmax - vmin + 1, umax - umin + 1
+    diff = (
+        windows[y + vmin : y + vmax + 1, x + umin : x + umax + 1]
+        - cur[y : y + n, x : x + n]
+    )
+    np.abs(diff, out=diff)
+    sads = np.add.reduce(
+        diff.reshape(rows, cols, n * n), axis=2, dtype=_sad_accumulator(n)
+    )
     # argmin scans v-major then u, so the first minimum has the smallest
     # v and, within it, the smallest u.
     flat = int(np.argmin(sads))
-    vi, ui = divmod(flat, sads.shape[1])
+    vi, ui = divmod(flat, cols)
     mv = MotionVector(umin + ui, vmin + vi)
     count = sads.size
     if probe is not None:
@@ -254,9 +279,8 @@ def full_search(
     visits the full (2w+1)^2 candidate grid.
     """
     _require_block(current, previous, block)
-    return _full_search(
-        current.astype(np.int16), previous.astype(np.int16), block, w, probe
-    )
+    windows = sliding_window_view(previous.astype(np.int16), (block.n, block.n))
+    return _full_search(current.astype(np.int16), windows, block, w, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +442,26 @@ def search_block(
     """
     _require_block(current, previous, block)
     cur, prev = current.astype(np.int16), previous.astype(np.int16)
-    return _search_block(algorithm, cur, prev, block, config, index, probe)
+    windows = sliding_window_view(prev, (block.n, block.n))
+    return _search_block(algorithm, cur, prev, windows, block, config, index, probe)
 
 
 def _search_block(
     algorithm: str,
     cur: np.ndarray,
     prev: np.ndarray,
+    windows: np.ndarray,
     block: BlockRef,
     config: SearchConfig,
     index: int,
     probe: SearchProbe | None = None,
 ) -> BlockResult:
-    # cur/prev are validated and widened to int16. Each search is looked up
-    # on its module when called, so a replaced module attribute sees every
-    # block.
+    # cur/prev are validated and widened to int16, and windows is
+    # sliding_window_view(prev, (block.n, block.n)). Each search is looked
+    # up on its module when called, so a replaced module attribute sees
+    # every block.
     if algorithm == "fsa":
-        return _full_search(cur, prev, block, config.w, probe)
+        return _full_search(cur, windows, block, config.w, probe)
     if algorithm == "debm":
         seeded = replace(
             config, de=replace(config.de, rng_seed=config.de.rng_seed ^ index)
@@ -463,8 +490,9 @@ def estimate_frame(
     blocks = partition(current, config.n)
     cur = current.astype(np.int16)
     prev = previous.astype(np.int16)
+    windows = sliding_window_view(prev, (config.n, config.n))
     results = [
-        _search_block(algorithm, cur, prev, block, config, index)
+        _search_block(algorithm, cur, prev, windows, block, config, index)
         for index, block in enumerate(blocks)
     ]
 

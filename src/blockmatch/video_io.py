@@ -107,7 +107,10 @@ def _iter_y4m(path: str, limit: int | None) -> Iterator[np.ndarray]:
                 f"unsupported chroma {colorspace.decode(errors='replace')} "
                 f"in {path}; only 4:2:0 is handled"
             )
-        _check_dims(width, height)
+        try:
+            _check_dims(width, height)
+        except ValueError as exc:
+            raise FormatError(f"{exc} in {path}", offset=0) from None
 
         def at_frame() -> bool:
             offset = stream.tell()

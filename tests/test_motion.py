@@ -16,6 +16,7 @@ from blockmatch.motion import (
     SearchProbe,
     _clamped_cell,
     _debm_search,
+    _sad_accumulator,
     compensate,
     estimate_frame,
     full_search,
@@ -190,6 +191,46 @@ class TestFullSearch:
         assert len(probe.visits) == 225
         assert all(visit.kind == EVALUATED for visit in probe.visits)
         assert len({(v.u, v.v) for v in probe.visits}) == 225
+
+
+@st.composite
+def fsa_frames(draw):
+    """A small frame pair with block size 1-8 and window 1-6: random
+    pixels, pixels drawn from {0, 255}, or an all-255 frame against an
+    all-0 one, which gives the largest SAD an n x n block can have."""
+    n = draw(st.integers(1, 8))
+    height = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
+    width = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["random", "binary", "saturated"]))
+    if kind == "saturated":
+        current = np.full((height, width), 255, dtype=np.uint8)
+        previous = np.zeros((height, width), dtype=np.uint8)
+    else:
+        pixels = st.integers(0, 255) if kind == "random" else st.sampled_from([0, 255])
+        current = draw(arrays(np.uint8, (height, width), elements=pixels))
+        previous = draw(arrays(np.uint8, (height, width), elements=pixels))
+    return current, previous, SearchConfig(w=draw(st.integers(1, 6)), n=n)
+
+
+class TestFullSearchKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(fsa_frames())
+    def test_frame_matches_naive_scan(self, case):
+        current, previous, config = case
+        mv_field, results = estimate_frame(current, previous, config, "fsa")
+        for block, result in zip(partition(current, config.n), results):
+            mv, cost, count = naive_full_search(current, previous, block, config.w)
+            assert result.mv == MotionVector(*mv)
+            assert result.sad == cost
+            assert result.evaluations == count
+            row, col = block.y // config.n, block.x // config.n
+            assert tuple(mv_field[row, col]) == mv
+
+    def test_accumulator_holds_largest_block_sad(self):
+        # 2901^2 * 255 is the last block SAD that fits int32.
+        assert _sad_accumulator(1) is np.int32
+        assert _sad_accumulator(2901) is np.int32
+        assert _sad_accumulator(2902) is np.int64
 
 
 class TestInitialPattern:

@@ -66,8 +66,13 @@ class TestY4m:
 
     @pytest.mark.parametrize(
         "header",
-        [b"YUV4MPEG2 W16 F25:1\n", b"YUV4MPEG2 Wabc H16\n"],
-        ids=["no-height", "non-numeric-width"],
+        [
+            b"YUV4MPEG2 W16 F25:1\n",
+            b"YUV4MPEG2 Wabc H16\n",
+            b"YUV4MPEG2 W0 H16\n",
+            b"YUV4MPEG2 W15 H16\n",
+        ],
+        ids=["no-height", "non-numeric-width", "zero-width", "odd-width"],
     )
     def test_missing_geometry(self, tmp_path, header):
         source = self.write(tmp_path / "bad.y4m", header + b"FRAME\n")
