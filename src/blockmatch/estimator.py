@@ -91,12 +91,12 @@ class HistoryStore:
     def nearest(self, position: Position) -> NearestHit | None:
         """Closest record by Euclidean distance; earliest insertion wins
         ties. None iff the store is empty."""
-        if not self.records:
-            return None
-        distances = [math.dist(r.position, position) for r in self.records]
-        distance = min(distances)
-        index = distances.index(distance)
-        return NearestHit(index, self.records[index], distance)
+        hit = None
+        for index, record in enumerate(self.records):
+            distance = math.dist(record.position, position)
+            if hit is None or distance < hit.distance:
+                hit = NearestHit(index, record, distance)
+        return hit
 
 
 def classify(

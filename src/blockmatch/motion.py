@@ -203,13 +203,8 @@ def sad(
         raise ValueError(
             f"candidate ({u}, {v}) moves block {block} outside the previous frame"
         )
-    # Widen only the two patches the cost reads, not the whole frames.
     return _sad_wide(
-        current[y : y + n, x : x + n].astype(np.int16),
-        previous[y + v : y + v + n, x + u : x + u + n].astype(np.int16),
-        BlockRef(0, 0, n),
-        0,
-        0,
+        current.astype(np.int16), previous.astype(np.int16), block, u, v
     )
 
 
