@@ -13,8 +13,8 @@ from .motion import (
     CellVisit,
     MotionVector,
     SearchProbe,
+    _bounds,
     _sad_wide,
-    mv_bounds,
 )
 
 # Large diamond: center first so a tie never moves the center, which keeps
@@ -26,12 +26,11 @@ _SMALL_DIAMOND = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
 class _CachedCost:
     """SAD with a per-search visited-position cache and validity guard."""
 
-    def __init__(self, cur, prev, block, w, probe):
+    def __init__(self, cur, windows, block, w, probe):
         self.cur = cur
-        self.prev = prev
+        self.windows = windows
         self.block = block
-        height, width = prev.shape
-        self.bounds = mv_bounds(block, width, height, w)
+        self.bounds = _bounds(windows, block, w)
         self.seen: dict[tuple[int, int], int] = {}
         self.probe = probe
 
@@ -44,7 +43,7 @@ class _CachedCost:
             return self.seen[(u, v)]
         except KeyError:
             pass
-        value = _sad_wide(self.cur, self.prev, self.block, u, v)
+        value = _sad_wide(self.cur, self.windows, self.block, u, v)
         self.seen[(u, v)] = value
         if self.probe is not None:
             self.probe.visits.append(CellVisit(u, v, EVALUATED))
@@ -68,11 +67,11 @@ def _scan_min(cost: _CachedCost, center, offsets, scale=1):
     return best[1]
 
 
-def _tss_search(cur, prev, block: BlockRef, w: int, probe: SearchProbe | None = None) -> BlockResult:
+def _tss_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None = None) -> BlockResult:
     """Three-step search: 9-point grids at halving step sizes, each pass
     recentered on the running minimum. At w=7 the steps are 4, 2, 1 for at
     most 25 distinct candidates."""
-    cost = _CachedCost(cur, prev, block, w, probe)
+    cost = _CachedCost(cur, windows, block, w, probe)
     offsets = tuple(
         (du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)
     )
@@ -85,10 +84,10 @@ def _tss_search(cur, prev, block: BlockRef, w: int, probe: SearchProbe | None = 
     return cost.result(*center)
 
 
-def _ds_search(cur, prev, block: BlockRef, w: int, probe: SearchProbe | None = None) -> BlockResult:
+def _ds_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None = None) -> BlockResult:
     """Diamond search: the 9-point large diamond walks until its minimum
     stays central, then one 5-point small diamond refines the result."""
-    cost = _CachedCost(cur, prev, block, w, probe)
+    cost = _CachedCost(cur, windows, block, w, probe)
     center = (0, 0)
     cost(0, 0)
     while True:

@@ -9,6 +9,7 @@ where --out/--mv-dump point.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -181,10 +182,7 @@ def build_config(args) -> SearchConfig:
 
 
 def run_sequence(
-    frames: list[np.ndarray],
-    config: SearchConfig,
-    algorithm: str,
-    reference: SequenceReport | None = None,
+    frames: list[np.ndarray], config: SearchConfig, algorithm: str
 ) -> tuple[SequenceReport, list[BlockRef], list[tuple[int, list]]]:
     """Estimate, compensate and score every consecutive frame pair.
 
@@ -203,19 +201,11 @@ def run_sequence(
         predicted = compensate(frames[t - 1], mv_field, config.n)
         outcomes.append(FrameOutcome(t, mse(frames[t], predicted), results))
         dump_entries.append((t, results))
-    return aggregate(algorithm, outcomes, reference), blocks, dump_entries
+    return aggregate(algorithm, outcomes), blocks, dump_entries
 
 
 def _fmt_db(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.2f}"
-
-
-def _cleanup(paths: list[str]) -> None:
-    for path in paths:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -223,159 +213,163 @@ def _cleanup(paths: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(args) -> int:
-    written: list[str] = []
-    try:
-        frames = load_frames(args)
-        config = build_config(args)
-        report, blocks, dump_entries = run_sequence(frames, config, args.algo)
-        if args.out:
-            write_report(report, args.out)
-            written.append(args.out)
-        if args.mv_dump:
-            write_mv_dump(args.mv_dump, blocks, dump_entries)
-            written.append(args.mv_dump)
-    except Exception as exc:
-        _cleanup(written)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_run(args, written: list[str]) -> str:
+    frames = load_frames(args)
+    config = build_config(args)
+    report, blocks, dump_entries = run_sequence(frames, config, args.algo)
+    if args.out:
+        write_report(report, args.out)
+        written.append(args.out)
+    if args.mv_dump:
+        write_mv_dump(args.mv_dump, blocks, dump_entries)
+        written.append(args.mv_dump)
     extra = (
         f" exact_frames={report.infinite_psnr_frames}"
         if report.infinite_psnr_frames
         else ""
     )
-    print(
+    return (
         f"{args.algo}: frame_pairs={len(report.per_frame)} "
         f"blocks_per_frame={len(blocks)} mean_psnr={_fmt_db(report.mean_psnr)}"
         f"{extra} mean_search_points={report.mean_search_points:.2f}"
     )
-    return 0
 
 
-def cmd_compare(args) -> int:
-    written: list[str] = []
-    try:
-        algos = [a.strip() for a in args.algo.split(",") if a.strip()]
-        unknown = [a for a in algos if a not in ALGORITHMS]
-        if unknown:
-            raise ValueError(f"unknown algorithm(s) {unknown}, expected {ALGORITHMS}")
-        if not algos:
-            raise ValueError("no algorithms requested")
-        if args.reference is None and "fsa" not in algos:
+def cmd_compare(args, written: list[str]) -> str:
+    algos = [a.strip() for a in args.algo.split(",") if a.strip()]
+    unknown = [a for a in algos if a not in ALGORITHMS]
+    if unknown:
+        raise ValueError(f"unknown algorithm(s) {unknown}, expected {ALGORITHMS}")
+    if not algos:
+        raise ValueError("no algorithms requested")
+    repeated = sorted({a for a in algos if algos.count(a) > 1})
+    if repeated:
+        raise ValueError(f"algorithm(s) {repeated} requested more than once")
+    if args.reference is None and "fsa" not in algos:
+        raise ValueError(
+            "comparison needs 'fsa' in --algo or a stored --reference report"
+        )
+    frames = load_frames(args)
+    config = build_config(args)
+
+    if args.reference is not None:
+        reference = read_report(args.reference)
+        if reference.algorithm != "fsa":
             raise ValueError(
-                "comparison needs 'fsa' in --algo or a stored --reference report"
+                f"--reference holds a {reference.algorithm!r} report, "
+                f"expected fsa"
             )
-        frames = load_frames(args)
-        config = build_config(args)
-
-        if args.reference is not None:
-            reference = read_report(args.reference)
-            if reference.algorithm != "fsa":
-                raise ValueError(
-                    f"--reference holds a {reference.algorithm!r} report, "
-                    f"expected fsa"
-                )
-        else:
-            reference, _, _ = run_sequence(frames, config, "fsa")
-
-        cache: dict[str, SequenceReport] = {"fsa": reference}
-        rows = []
-        for algo in algos:
-            if algo not in cache:
-                cache[algo], _, _ = run_sequence(frames, config, algo)
-            report = cache[algo]
-            rows.append(
-                {
-                    "algorithm": algo,
-                    "mean_psnr": report.mean_psnr,
-                    "d_psnr": d_psnr(reference.mean_psnr, report.mean_psnr),
-                    "mean_search_points": report.mean_search_points,
-                }
+        scored = [s.frame_index for s in reference.per_frame]
+        if scored != list(range(1, len(frames))):
+            raise ValueError(
+                f"--reference scores frames {scored}, but the input's "
+                f"predictable frames are 1..{len(frames) - 1}"
             )
-        # Rank 1 = fewest true evaluations per block; ties keep list order.
-        for rank, row in enumerate(
-            sorted(rows, key=lambda r: r["mean_search_points"]), start=1
-        ):
-            row["rank"] = rank
+    else:
+        reference, _, _ = run_sequence(frames, config, "fsa")
 
-        if args.out:
-            write_json({"reference": "fsa", "rows": rows}, args.out)
-            written.append(args.out)
-    except Exception as exc:
-        _cleanup(written)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cache: dict[str, SequenceReport] = {"fsa": reference}
+    rows = []
+    for algo in algos:
+        if algo not in cache:
+            cache[algo], _, _ = run_sequence(frames, config, algo)
+        report = cache[algo]
+        rows.append(
+            {
+                "algorithm": algo,
+                "mean_psnr": report.mean_psnr,
+                "d_psnr": d_psnr(reference.mean_psnr, report.mean_psnr),
+                "mean_search_points": report.mean_search_points,
+            }
+        )
+    # Rank 1 = fewest true evaluations per block; ties keep list order.
+    for rank, row in enumerate(
+        sorted(rows, key=lambda r: r["mean_search_points"]), start=1
+    ):
+        row["rank"] = rank
 
-    print(f"{'algorithm':<10} {'mean_psnr':>10} {'d_psnr%':>9} {'points':>8} {'rank':>5}")
+    if args.out:
+        write_json({"reference": "fsa", "rows": rows}, args.out)
+        written.append(args.out)
+
+    lines = [
+        f"{'algorithm':<10} {'mean_psnr':>10} {'d_psnr%':>9} {'points':>8} {'rank':>5}"
+    ]
     for row in rows:
         dp = "n/a" if row["d_psnr"] is None else f"{row['d_psnr']:.2f}"
-        print(
+        lines.append(
             f"{row['algorithm']:<10} {_fmt_db(row['mean_psnr']):>10} {dp:>9} "
             f"{row['mean_search_points']:>8.2f} {row['rank']:>5}"
         )
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_trace(args) -> int:
-    written: list[str] = []
-    try:
-        frames = load_frames(args)
-        config = build_config(args)
-        if not 1 <= args.frame < len(frames):
-            raise ValueError(
-                f"frame {args.frame} out of range; predictable frames are "
-                f"1..{len(frames) - 1}"
-            )
-        try:
-            x_text, y_text = args.trace_block.split(",")
-            x, y = int(x_text), int(y_text)
-        except ValueError:
-            raise ValueError(
-                f"bad --trace-block {args.trace_block!r}, expected 'x,y'"
-            ) from None
-
-        current, previous = frames[args.frame], frames[args.frame - 1]
-        blocks = partition(current, config.n)
-        anchors = {(b.x, b.y): i for i, b in enumerate(blocks)}
-        if (x, y) not in anchors:
-            xs = sorted({b.x for b in blocks})
-            ys = sorted({b.y for b in blocks})
-            raise ValueError(
-                f"block ({x}, {y}) is not on the partition grid; valid x: "
-                f"{xs}, valid y: {ys}"
-            )
-        probe = SearchProbe()
-        result = search_block(
-            args.algo, current, previous, BlockRef(x, y, config.n), config,
-            anchors[(x, y)], probe,
+def cmd_trace(args, written: list[str]) -> str:
+    frames = load_frames(args)
+    config = build_config(args)
+    if not 1 <= args.frame < len(frames):
+        raise ValueError(
+            f"frame {args.frame} out of range; predictable frames are "
+            f"1..{len(frames) - 1}"
         )
+    try:
+        x_text, y_text = args.trace_block.split(",")
+        x, y = int(x_text), int(y_text)
+    except ValueError:
+        raise ValueError(
+            f"bad --trace-block {args.trace_block!r}, expected 'x,y'"
+        ) from None
 
-        document = {
-            "algorithm": args.algo,
-            "frame": args.frame,
-            "block": {"x": x, "y": y, "n": config.n},
-            "sad": result.sad,
-            "evaluations": result.evaluations,
-            "estimations": result.estimations,
-        }
-        document.update(export_pattern_trace(probe.visits, result.mv, config.w))
-        write_json(document, args.out)
-        written.append(args.out)
-    except Exception as exc:
-        _cleanup(written)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(
+    current, previous = frames[args.frame], frames[args.frame - 1]
+    blocks = partition(current, config.n)
+    anchors = {(b.x, b.y): i for i, b in enumerate(blocks)}
+    if (x, y) not in anchors:
+        xs = sorted({b.x for b in blocks})
+        ys = sorted({b.y for b in blocks})
+        raise ValueError(
+            f"block ({x}, {y}) is not on the partition grid; valid x: "
+            f"{xs}, valid y: {ys}"
+        )
+    probe = SearchProbe()
+    result = search_block(
+        args.algo, current, previous, BlockRef(x, y, config.n), config,
+        anchors[(x, y)], probe,
+    )
+
+    document = {
+        "algorithm": args.algo,
+        "frame": args.frame,
+        "block": {"x": x, "y": y, "n": config.n},
+        "sad": result.sad,
+        "evaluations": result.evaluations,
+        "estimations": result.estimations,
+    }
+    document.update(export_pattern_trace(probe.visits, result.mv, config.w))
+    write_json(document, args.out)
+    written.append(args.out)
+    return (
         f"{args.algo} block ({x},{y}) frame {args.frame}: mv=({result.mv.u},"
         f"{result.mv.v}) sad={result.sad} evaluations={result.evaluations} "
         f"estimations={result.estimations} -> {args.out}"
     )
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, which lists each file it writes in `written`
+    and returns its stdout summary. On any error the listed files are
+    removed, the error goes to stderr and the exit status is 1."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    written: list[str] = []
+    try:
+        summary = args.handler(args, written)
+    except Exception as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -169,17 +169,36 @@ def mv_bounds(
     return umin, umax, vmin, vmax
 
 
+def _widen(
+    current: np.ndarray, previous: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cur, windows): the one form of a validated uint8 frame pair that
+    every search reads. cur is the current frame widened to int16, so a
+    difference cannot wrap; windows[y, x] is the n x n int16 patch of the
+    previous frame whose top-left pixel is (x, y). Build it once per frame
+    pair: slicing the view copies nothing, and `_bounds` reads the frame
+    size from its shape."""
+    windows = sliding_window_view(previous.astype(np.int16), (n, n))
+    return current.astype(np.int16), windows
+
+
+def _bounds(windows: np.ndarray, block: BlockRef, w: int) -> tuple[int, int, int, int]:
+    """`mv_bounds` for a block of the frame pair `windows` was built from."""
+    height, width = windows.shape[0] + block.n - 1, windows.shape[1] + block.n - 1
+    return mv_bounds(block, width, height, w)
+
+
 # ---------------------------------------------------------------------------
 # Matching cost
 # ---------------------------------------------------------------------------
 
 
 def _sad_wide(
-    cur: np.ndarray, prev: np.ndarray, block: BlockRef, u: int, v: int
+    cur: np.ndarray, windows: np.ndarray, block: BlockRef, u: int, v: int
 ) -> int:
-    # cur/prev carry a widened signed dtype so the difference cannot wrap.
+    # cur and windows come from _widen.
     x, y, n = block
-    diff = cur[y : y + n, x : x + n] - prev[y + v : y + v + n, x + u : x + u + n]
+    diff = cur[y : y + n, x : x + n] - windows[y + v, x + u]
     return int(np.abs(diff, out=diff).sum(dtype=np.int64))
 
 
@@ -203,9 +222,7 @@ def sad(
         raise ValueError(
             f"candidate ({u}, {v}) moves block {block} outside the previous frame"
         )
-    return _sad_wide(
-        current.astype(np.int16), previous.astype(np.int16), block, u, v
-    )
+    return _sad_wide(*_widen(current, previous, n), block, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +243,10 @@ def _full_search(
     w: int,
     probe: SearchProbe | None = None,
 ) -> BlockResult:
-    """Exhaustive search of one block.
-
-    `cur` is the widened current frame. `windows` is
-    `sliding_window_view(prev, (n, n))` of the widened previous frame,
-    built once per frame pair, so windows[y, x] is the n x n patch whose
-    top-left pixel is (x, y) and the frame size follows from its shape.
-    Only this block's candidate patches are sliced from it and differenced.
-    """
+    """Exhaustive search of one block: only its candidate patches are
+    sliced from `windows` and differenced."""
     x, y, n = block
-    height, width = windows.shape[0] + n - 1, windows.shape[1] + n - 1
-    umin, umax, vmin, vmax = mv_bounds(block, width, height, w)
+    umin, umax, vmin, vmax = _bounds(windows, block, w)
     rows, cols = vmax - vmin + 1, umax - umin + 1
     diff = (
         windows[y + vmin : y + vmax + 1, x + umin : x + umax + 1]
@@ -274,8 +284,7 @@ def full_search(
     visits the full (2w+1)^2 candidate grid.
     """
     _require_block(current, previous, block)
-    windows = sliding_window_view(previous.astype(np.int16), (block.n, block.n))
-    return _full_search(current.astype(np.int16), windows, block, w, probe)
+    return _full_search(*_widen(current, previous, block.n), block, w, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +337,7 @@ def _offsets_nearest_first(w: int) -> tuple[tuple[int, int, int], ...]:
 
 def _debm_search(
     cur: np.ndarray,
-    prev: np.ndarray,
+    windows: np.ndarray,
     block: BlockRef,
     config: SearchConfig,
     probe: SearchProbe | None = None,
@@ -342,17 +351,16 @@ def _debm_search(
     evaluate-or-estimate dispatch. A trial that lands on the cell of the
     best record so far moves to the nearest cell not yet requested in
     this search, so it never spends a true evaluation on a known cost.
-    The motion vector is the cell with the lowest cost the search truly
-    computed (the earliest on ties), and its SAD is that computed cost;
-    no copied value is reported and no extra evaluation is spent.
+    The result is the store's best record. A copy takes an earlier
+    record's value and so never undercuts it, which makes it the earliest
+    lowest cost the search truly computed: no copied value is reported and
+    no extra evaluation is spent.
     """
-    height, width = prev.shape
     w = config.w
-    bounds = mv_bounds(block, width, height, w)
+    bounds = _bounds(windows, block, w)
     umin, umax, vmin, vmax = bounds
     offsets = _offsets_nearest_first(w)
     store = HistoryStore()
-    true_evaluations = 0
     # Individuals live on the valid lattice, so every requested position
     # is already a cell and the objective needs no projection.
     seeds = [_clamped_cell(p, bounds) for p in initial_pattern(w)]
@@ -384,10 +392,8 @@ def _debm_search(
         return float(cell[0]), float(cell[1])
 
     def objective(position: Position) -> float:
-        nonlocal true_evaluations
-        true_evaluations += 1
         u, v = position
-        return float(_sad_wide(cur, prev, block, int(u), int(v)))
+        return float(_sad_wide(cur, windows, block, int(u), int(v)))
 
     _, best_per_generation = de.run(
         provider(store, config.strategy, objective),
@@ -396,13 +402,10 @@ def _debm_search(
         repair,
     )
 
-    # Report the lowest cost truly computed (earliest on ties): a copied
-    # value never stands in for a computed one.
-    best = min(
-        (r for r in store.records if r.kind == EVALUATED), key=lambda r: r.fitness
-    )
+    best = store.best()
     mv = MotionVector(*map(int, best.position))
-    estimations = len(store.records) - true_evaluations
+    evaluations = sum(r.kind == EVALUATED for r in store.records)
+    estimations = len(store.records) - evaluations
     if probe is not None:
         probe.best_per_generation = best_per_generation
         probe.records = list(store.records)
@@ -410,7 +413,7 @@ def _debm_search(
             CellVisit(*map(int, r.position), r.kind)
             for r in store.records
         ]
-    return BlockResult(mv, int(best.fitness), true_evaluations, estimations)
+    return BlockResult(mv, int(best.fitness), evaluations, estimations)
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +439,33 @@ def search_block(
     inside the frame.
     """
     _require_block(current, previous, block)
-    cur, prev = current.astype(np.int16), previous.astype(np.int16)
-    windows = sliding_window_view(prev, (block.n, block.n))
-    return _search_block(algorithm, cur, prev, windows, block, config, index, probe)
+    cur, windows = _widen(current, previous, block.n)
+    return _search_block(algorithm, cur, windows, block, config, index, probe)
 
 
 def _search_block(
     algorithm: str,
     cur: np.ndarray,
-    prev: np.ndarray,
     windows: np.ndarray,
     block: BlockRef,
     config: SearchConfig,
     index: int,
     probe: SearchProbe | None = None,
 ) -> BlockResult:
-    # cur/prev are validated and widened to int16, and windows is
-    # sliding_window_view(prev, (block.n, block.n)). Each search is looked
-    # up on its module when called, so a replaced module attribute sees
-    # every block.
+    # cur and windows come from _widen with n = block.n. Each search is
+    # looked up on its module when called, so a replaced module attribute
+    # sees every block.
     if algorithm == "fsa":
         return _full_search(cur, windows, block, config.w, probe)
     if algorithm == "debm":
         seeded = replace(
             config, de=replace(config.de, rng_seed=config.de.rng_seed ^ index)
         )
-        return _debm_search(cur, prev, block, seeded, probe)
+        return _debm_search(cur, windows, block, seeded, probe)
     if algorithm == "tss":
-        return baselines._tss_search(cur, prev, block, config.w, probe)
+        return baselines._tss_search(cur, windows, block, config.w, probe)
     if algorithm == "ds":
-        return baselines._ds_search(cur, prev, block, config.w, probe)
+        return baselines._ds_search(cur, windows, block, config.w, probe)
     raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
 
 
@@ -483,11 +483,9 @@ def estimate_frame(
     """
     _require_pair(current, previous)
     blocks = partition(current, config.n)
-    cur = current.astype(np.int16)
-    prev = previous.astype(np.int16)
-    windows = sliding_window_view(prev, (config.n, config.n))
+    cur, windows = _widen(current, previous, config.n)
     results = [
-        _search_block(algorithm, cur, prev, windows, block, config, index)
+        _search_block(algorithm, cur, windows, block, config, index)
         for index, block in enumerate(blocks)
     ]
 

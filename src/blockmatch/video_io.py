@@ -102,10 +102,12 @@ def _iter_y4m(path: str, limit: int | None) -> Iterator[np.ndarray]:
             # affect luma extraction and are ignored.
         if width is None or height is None:
             raise FormatError(f"y4m header misses W or H token in {path}", offset=0)
-        if not colorspace.startswith(b"C420"):
+        # C420p10 and other high-bit-depth tokens store two bytes a sample.
+        if colorspace not in (b"C420", b"C420jpeg", b"C420paldv", b"C420mpeg2"):
             raise FormatError(
                 f"unsupported chroma {colorspace.decode(errors='replace')} "
-                f"in {path}; only 4:2:0 is handled"
+                f"in {path}; only 8-bit 4:2:0 is handled",
+                offset=0,
             )
         try:
             _check_dims(width, height)
@@ -392,7 +394,7 @@ def write_report(report: SequenceReport, path: str, fmt: str | None = None) -> N
     """Serialize a sequence report as json or csv (inferred from the file
     suffix when fmt is omitted)."""
     if fmt is None:
-        fmt = "csv" if str(path).endswith(".csv") else "json"
+        fmt = "csv" if str(path).lower().endswith(".csv") else "json"
     if fmt == "json":
         write_json(report_to_dict(report), path)
     elif fmt == "csv":
@@ -410,24 +412,29 @@ def write_report(report: SequenceReport, path: str, fmt: str | None = None) -> N
 def read_report(path: str) -> SequenceReport:
     """Parse a JSON report back into a SequenceReport."""
     with open(path) as stream:
-        data = json.load(stream)
-    return SequenceReport(
-        algorithm=data["algorithm"],
-        mean_psnr=float(data["mean_psnr"]),
-        d_psnr=None if data["d_psnr"] is None else float(data["d_psnr"]),
-        mean_search_points=float(data["mean_search_points"]),
-        infinite_psnr_frames=int(data["infinite_psnr_frames"]),
-        per_frame=[
-            FrameScore(
-                frame_index=int(s["frame_index"]),
-                psnr=float(s["psnr_db"]),
-                mse=float(s["mse"]),
-                avg_evaluations=float(s["avg_eval"]),
-                avg_estimations=float(s["avg_est"]),
+        try:
+            data = json.load(stream)
+            return SequenceReport(
+                algorithm=data["algorithm"],
+                mean_psnr=float(data["mean_psnr"]),
+                d_psnr=None if data["d_psnr"] is None else float(data["d_psnr"]),
+                mean_search_points=float(data["mean_search_points"]),
+                infinite_psnr_frames=int(data["infinite_psnr_frames"]),
+                per_frame=[
+                    FrameScore(
+                        frame_index=int(s["frame_index"]),
+                        psnr=float(s["psnr_db"]),
+                        mse=float(s["mse"]),
+                        avg_evaluations=float(s["avg_eval"]),
+                        avg_estimations=float(s["avg_est"]),
+                    )
+                    for s in data["per_frame"]
+                ],
             )
-            for s in data["per_frame"]
-        ],
-    )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(
+                f"{path} is not a JSON report ({type(exc).__name__}: {exc})"
+            ) from None
 
 
 def write_mv_dump(

@@ -166,20 +166,59 @@ class TestRun:
 
 class TestCompare:
     def test_self_comparison_has_zero_degradation(self, tmp_path):
+        clip = ("--format", "synth", "--input", "translate:2,1", "--frames", "3")
+        ref_path = tmp_path / "fsa.json"
+        assert run_cli("run", "--algo", "fsa", *clip, "--out", str(ref_path)) == 0
         out = tmp_path / "table.json"
         status = run_cli(
-            "compare",
-            "--algo", "fsa,fsa",
-            "--format", "synth",
-            "--input", "translate:2,1",
-            "--frames", "3",
-            "--out", str(out),
+            "compare", "--algo", "fsa", *clip,
+            "--reference", str(ref_path), "--out", str(out),
         )
         assert status == 0
         rows = json.loads(out.read_text())["rows"]
-        assert len(rows) == 2
+        assert len(rows) == 1
         assert rows[0]["d_psnr"] == 0.0
-        assert rows[1]["d_psnr"] == 0.0
+
+    def test_duplicate_algorithm_rejected(self, capsys):
+        status = run_cli(
+            "compare", "--algo", "fsa,fsa,tss",
+            "--format", "synth", "--input", "static", "--frames", "3",
+        )
+        assert status == 1
+        assert "['fsa'] requested more than once" in capsys.readouterr().err
+
+    def test_reference_for_another_clip_rejected(self, tmp_path, capsys):
+        ref_path = tmp_path / "fsa.json"
+        status = run_cli(
+            "run", "--algo", "fsa", "--format", "synth", "--input", "random:1,1",
+            "--frames", "3", "--out", str(ref_path),
+        )
+        assert status == 0
+        status = run_cli(
+            "compare", "--algo", "tss", "--format", "synth", "--input",
+            "random:1,1", "--width", "64", "--height", "64", "--frames", "6",
+            "--reference", str(ref_path),
+        )
+        assert status == 1
+        assert "predictable frames are 1..5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, name",
+        [("run", "fsa.csv"), ("compare", "table.json")],
+        ids=["csv-report", "compare-table"],
+    )
+    def test_non_report_reference_names_the_file(
+        self, tmp_path, capsys, subcommand, name
+    ):
+        # a CSV report is not JSON; a compare table is JSON but no report
+        ref_path = tmp_path / name
+        clip = ("--format", "synth", "--input", "static", "--frames", "3")
+        assert run_cli(subcommand, "--algo", "fsa", *clip, "--out", str(ref_path)) == 0
+        status = run_cli(
+            "compare", "--algo", "tss", *clip, "--reference", str(ref_path)
+        )
+        assert status == 1
+        assert f"{ref_path} is not a JSON report" in capsys.readouterr().err
 
     def test_full_table_ranks_are_a_permutation(self, tmp_path, capsys):
         out = tmp_path / "table.json"

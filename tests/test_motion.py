@@ -17,6 +17,7 @@ from blockmatch.motion import (
     _clamped_cell,
     _debm_search,
     _sad_accumulator,
+    _widen,
     compensate,
     estimate_frame,
     full_search,
@@ -516,6 +517,11 @@ class TestSearchBlock:
                 assert len(probe.visits) == result.evaluations + result.estimations
                 assert len(best) == config.de.generations + 1
                 assert all(b <= a for a, b in zip(best, best[1:]))
+                # A copy never undercuts the store's best, so the earliest
+                # lowest record is a computed cost and is what is reported.
+                low = min(probe.records, key=lambda r: r.fitness)
+                assert low.kind == EVALUATED
+                assert (low.position, low.fitness) == (result.mv, result.sad)
             else:
                 # fsa, tss and ds never evaluate a cell twice
                 cells = {(visit.u, visit.v) for visit in probe.visits}
@@ -531,7 +537,7 @@ class TestSearchBlock:
         result = search_block("debm", current, previous, block, config, 4, probe)
         # The oracle is a plain run at seed 40 ^ 4, outside the derivation;
         # block 0 keeps rng_seed unchanged.
-        wide = current.astype(np.int16), previous.astype(np.int16)
+        wide = _widen(current, previous, 16)
         assert result == _debm_search(*wide, block, seeded)
         assert search_block(
             "debm", current, previous, block, seeded, 0

@@ -88,6 +88,15 @@ class TestY4m:
         with pytest.raises(FormatError, match="4:2:0"):
             list(open_sequence(source))
 
+    def test_high_bit_depth_420_rejected(self, tmp_path):
+        source = self.write(
+            tmp_path / "p10.y4m", b"YUV4MPEG2 W16 H16 C420p10\nFRAME\n" + b"\0" * 768
+        )
+        with pytest.raises(FormatError, match="C420p10") as info:
+            list(open_sequence(source))
+        assert info.value.offset == 0
+        assert str(source.path) in str(info.value)
+
     def test_truncated_frame_reports_progress(self, tmp_path):
         rng = np.random.default_rng(2)
         payload = (
@@ -305,6 +314,11 @@ class TestReports:
 
     def test_format_inferred_from_suffix(self, tmp_path):
         path = tmp_path / "report.csv"
+        write_report(sample_report(), str(path))
+        assert path.read_text().startswith("frame_index,")
+
+    def test_format_suffix_matches_in_any_case(self, tmp_path):
+        path = tmp_path / "r.CSV"
         write_report(sample_report(), str(path))
         assert path.read_text().startswith("frame_index,")
 
