@@ -1,10 +1,13 @@
 """Classical fixed-pattern fast searches: three-step and diamond.
 
 Both share the SAD cost, skip candidates outside the valid displacement
-region, cache every computed cost so a position is never evaluated twice,
-and report the same per-block accounting as the other algorithms.
+region, cost a pattern step's unseen cells in one gather from the shared
+window view, cache every computed cost so a position is never evaluated
+twice, and report the same per-block accounting as the other algorithms.
 `motion.search_block` runs them by name, "tss" and "ds".
 """
+
+import numpy as np
 
 from .estimator import EVALUATED
 from .motion import (
@@ -14,7 +17,7 @@ from .motion import (
     MotionVector,
     SearchProbe,
     _bounds,
-    _sad_wide,
+    _sad_accumulator,
 )
 
 # Large diamond: center first so a tie never moves the center, which keeps
@@ -24,7 +27,10 @@ _SMALL_DIAMOND = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
 
 
 class _CachedCost:
-    """SAD with a per-search visited-position cache and validity guard."""
+    """SAD with a per-search visited-position cache and validity guard.
+    A call takes one pattern step's distinct valid cells, costs the unseen
+    ones in one gather of their patches from the window view, visiting them
+    in order, and returns the step's SADs in order."""
 
     def __init__(self, cur, windows, block, w, probe):
         self.cur = cur
@@ -38,16 +44,18 @@ class _CachedCost:
         umin, umax, vmin, vmax = self.bounds
         return umin <= u <= umax and vmin <= v <= vmax
 
-    def __call__(self, u: int, v: int) -> int:
-        try:
-            return self.seen[(u, v)]
-        except KeyError:
-            pass
-        value = _sad_wide(self.cur, self.windows, self.block, u, v)
-        self.seen[(u, v)] = value
-        if self.probe is not None:
-            self.probe.visits.append(CellVisit(u, v, EVALUATED))
-        return value
+    def __call__(self, cells: list[tuple[int, int]]) -> list[int]:
+        fresh = [cell for cell in cells if cell not in self.seen]
+        if fresh:
+            x, y, n = self.block
+            diff = self.windows[[y + v for _, v in fresh], [x + u for u, _ in fresh]]
+            diff -= self.cur[y : y + n, x : x + n]
+            np.abs(diff, out=diff)
+            sads = np.add.reduce(diff, axis=(1, 2), dtype=_sad_accumulator(n))
+            self.seen.update(zip(fresh, sads.tolist()))
+            if self.probe is not None:
+                self.probe.visits.extend(CellVisit(u, v, EVALUATED) for u, v in fresh)
+        return [self.seen[cell] for cell in cells]
 
     def result(self, u: int, v: int) -> BlockResult:
         return BlockResult(MotionVector(u, v), self.seen[(u, v)], len(self.seen), 0)
@@ -56,15 +64,10 @@ class _CachedCost:
 def _scan_min(cost: _CachedCost, center, offsets, scale=1):
     """Evaluate the pattern around the center and return the first-scanned
     minimum in pattern-definition order."""
-    best = None
-    for du, dv in offsets:
-        u, v = center[0] + du * scale, center[1] + dv * scale
-        if not cost.valid(u, v):
-            continue
-        value = cost(u, v)
-        if best is None or value < best[0]:
-            best = (value, (u, v))
-    return best[1]
+    cells = [(center[0] + du * scale, center[1] + dv * scale) for du, dv in offsets]
+    cells = [cell for cell in cells if cost.valid(*cell)]
+    values = cost(cells)
+    return cells[values.index(min(values))]
 
 
 def _tss_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None = None) -> BlockResult:
@@ -76,7 +79,7 @@ def _tss_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None
         (du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)
     )
     center = (0, 0)
-    cost(0, 0)
+    cost([center])
     step = (w + 1) // 2
     while step >= 1:
         center = _scan_min(cost, center, offsets, step)
@@ -89,7 +92,7 @@ def _ds_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None 
     stays central, then one 5-point small diamond refines the result."""
     cost = _CachedCost(cur, windows, block, w, probe)
     center = (0, 0)
-    cost(0, 0)
+    cost([center])
     while True:
         minimum = _scan_min(cost, center, _LARGE_DIAMOND)
         if minimum == center:

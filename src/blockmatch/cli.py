@@ -32,6 +32,7 @@ from .motion import (
     SearchProbe,
     compensate,
     estimate_frame,
+    mv_bounds,
     partition,
     search_block,
 )
@@ -236,6 +237,8 @@ def cmd_run(args, written: list[str]) -> str:
 
 
 def cmd_compare(args, written: list[str]) -> str:
+    """A --reference must score the input's frames and fsa's mean search points
+    on its geometry; a clip of that geometry with other content passes."""
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
@@ -264,6 +267,14 @@ def cmd_compare(args, written: list[str]) -> str:
             raise ValueError(
                 f"--reference scores frames {scored}, but the input's "
                 f"predictable frames are 1..{len(frames) - 1}"
+            )
+        height, width = frames[0].shape
+        boxes = [mv_bounds(b, width, height, config.w) for b in partition(frames[0], config.n)]
+        expected = sum((u1 - u0 + 1) * (v1 - v0 + 1) for u0, u1, v0, v1 in boxes) / len(boxes)
+        if reference.mean_search_points != expected:
+            raise ValueError(
+                f"--reference has mean_search_points {reference.mean_search_points}, "
+                f"but fsa on the input's geometry has {expected}"
             )
     else:
         reference, _, _ = run_sequence(frames, config, "fsa")

@@ -521,7 +521,6 @@ def compensate(previous: np.ndarray, mv_field: np.ndarray, n: int) -> np.ndarray
     return output
 
 
-# Imported last, because baselines builds on the names above. Loading it
-# with this module, not on first use, also binds its _sad_wide before
-# anything can replace motion._sad_wide.
+# Imported last, because baselines builds on the names above;
+# `_search_block` looks tss and ds up on it when called.
 from . import baselines  # noqa: E402

@@ -2,15 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.ndimage import gaussian_filter
 
+from blockmatch.estimator import EVALUATED
 from blockmatch.motion import (
     BlockRef,
+    BlockResult,
+    CellVisit,
+    MotionVector,
     SearchConfig,
     SearchProbe,
     full_search,
     mv_bounds,
     partition,
+    sad,
     search_block,
 )
 
@@ -155,3 +162,72 @@ class TestSharedContracts:
                 fast = search_block(algorithm, current, previous, block, CONFIG, 0)
                 exhaustive = full_search(current, previous, block, 7)
                 assert fast.sad >= exhaustive.sad
+
+
+_NINE_POINTS = tuple((du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1))
+_LARGE = ((0, 0), (0, -2), (-1, -1), (1, -1), (-2, 0), (2, 0), (-1, 1), (1, 1), (0, 2))
+_SMALL = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
+
+
+def scalar_search(algorithm, current, previous, block, w):
+    """tss or ds costed one cell at a time through the public `sad`:
+    a seen-cell dict, the first-scanned minimum of each pattern step and
+    the same center and step rules. Returns the result and the visits."""
+    height, width = current.shape
+    umin, umax, vmin, vmax = mv_bounds(block, width, height, w)
+    seen = {}
+
+    def cost(cell):
+        if cell not in seen:
+            seen[cell] = sad(current, previous, block, cell)
+        return seen[cell]
+
+    def scan(center, offsets, scale=1):
+        best = None
+        for du, dv in offsets:
+            cell = (center[0] + du * scale, center[1] + dv * scale)
+            if umin <= cell[0] <= umax and vmin <= cell[1] <= vmax:
+                value = cost(cell)
+                if best is None or value < best[0]:
+                    best = (value, cell)
+        return best[1]
+
+    center = (0, 0)
+    cost(center)
+    if algorithm == "tss":
+        step = (w + 1) // 2
+        while step >= 1:
+            center = scan(center, _NINE_POINTS, step)
+            step //= 2
+    else:
+        while (moved := scan(center, _LARGE)) != center:
+            center = moved
+        center = scan(center, _SMALL)
+    result = BlockResult(MotionVector(*center), seen[center], len(seen), 0)
+    return result, [CellVisit(u, v, EVALUATED) for u, v in seen]
+
+
+@st.composite
+def block_cases(draw):
+    """A random small frame pair, search range and block, edge blocks
+    included."""
+    n = draw(st.integers(1, 6))
+    height = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
+    width = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
+    current = draw(arrays(np.uint8, (height, width)))
+    previous = draw(arrays(np.uint8, (height, width)))
+    block = draw(st.sampled_from(partition(current, n)))
+    return current, previous, block, draw(st.integers(1, 5))
+
+
+class TestScalarReference:
+    @BASELINES
+    @settings(max_examples=80, deadline=None)
+    @given(block_cases())
+    def test_matches_one_cell_at_a_time_scan(self, algorithm, case):
+        current, previous, block, w = case
+        expected, visits = scalar_search(algorithm, current, previous, block, w)
+        probe = SearchProbe()
+        config = SearchConfig(w=w, n=block.n)
+        assert search_block(algorithm, current, previous, block, config, 0, probe) == expected
+        assert probe.visits == visits

@@ -202,6 +202,34 @@ class TestCompare:
         assert status == 1
         assert "predictable frames are 1..5" in capsys.readouterr().err
 
+    def test_reference_for_another_geometry_rejected(self, tmp_path, capsys):
+        # same frame count, so only the search points tell the clips apart
+        ref_path, out = tmp_path / "fsa.json", tmp_path / "table.json"
+        status = run_cli(
+            "run", "--algo", "fsa", "--format", "synth", "--input", "random:1,1",
+            "--frames", "3", "--out", str(ref_path),
+        )
+        assert status == 0
+        stored = json.loads(ref_path.read_text())["mean_search_points"]
+        small = ("--format", "synth", "--input", "random:2,2", "--frames", "3")
+        status = run_cli(
+            "compare", "--algo", "tss", *small, "--width", "64", "--height", "64",
+            "--reference", str(ref_path), "--out", str(out),
+        )
+        assert status == 1
+        # 64x64, n=16, w=7: (8 + 15 + 15 + 8)^2 cells over 16 blocks
+        assert f"{stored}, but fsa on the input's geometry has 132.25" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        # the same geometry with other content still passes
+        status = run_cli(
+            "compare", "--algo", "tss", *small, "--reference", str(ref_path),
+            "--out", str(out),
+        )
+        assert status == 0
+        assert json.loads(out.read_text())["rows"][0]["algorithm"] == "tss"
+
     @pytest.mark.parametrize(
         "subcommand, name",
         [("run", "fsa.csv"), ("compare", "table.json")],
