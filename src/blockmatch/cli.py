@@ -13,6 +13,7 @@ import contextlib
 import math
 import os
 import sys
+import zlib
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .motion import (
     SearchProbe,
     compensate,
     estimate_frame,
-    mv_bounds,
     partition,
     search_block,
 )
@@ -182,6 +182,17 @@ def build_config(args) -> SearchConfig:
 # ---------------------------------------------------------------------------
 
 
+def input_identity(frames: list[np.ndarray], config: SearchConfig) -> dict:
+    """Frame size and count, block size, search range and a crc32 chained over
+    the decoded luma frames in order; it catches a wrong clip, not a forged report."""
+    crc = 0
+    for frame in frames:
+        crc = zlib.crc32(frame, crc)
+    height, width = frames[0].shape
+    return {"width": width, "height": height, "frames": len(frames),
+            "n": config.n, "w": config.w, "crc32": f"{crc:08x}"}
+
+
 def run_sequence(
     frames: list[np.ndarray], config: SearchConfig, algorithm: str
 ) -> tuple[SequenceReport, list[BlockRef], list[tuple[int, list]]]:
@@ -202,7 +213,8 @@ def run_sequence(
         predicted = compensate(frames[t - 1], mv_field, config.n)
         outcomes.append(FrameOutcome(t, mse(frames[t], predicted), results))
         dump_entries.append((t, results))
-    return aggregate(algorithm, outcomes), blocks, dump_entries
+    report = aggregate(algorithm, outcomes, input_identity(frames, config))
+    return report, blocks, dump_entries
 
 
 def _fmt_db(value: float) -> str:
@@ -237,8 +249,8 @@ def cmd_run(args, written: list[str]) -> str:
 
 
 def cmd_compare(args, written: list[str]) -> str:
-    """A --reference must score the input's frames and fsa's mean search points
-    on its geometry; a clip of that geometry with other content passes."""
+    """A --reference must be an fsa report whose `input` equals this input's
+    identity (see input_identity)."""
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
@@ -262,20 +274,14 @@ def cmd_compare(args, written: list[str]) -> str:
                 f"--reference holds a {reference.algorithm!r} report, "
                 f"expected fsa"
             )
-        scored = [s.frame_index for s in reference.per_frame]
-        if scored != list(range(1, len(frames))):
-            raise ValueError(
-                f"--reference scores frames {scored}, but the input's "
-                f"predictable frames are 1..{len(frames) - 1}"
+        identity, stored = input_identity(frames, config), reference.input
+        if stored != identity:
+            differ = ", ".join(
+                f"{key} {stored.get(key)} vs {identity.get(key)}"
+                for key in {**identity, **stored}
+                if stored.get(key) != identity.get(key)
             )
-        height, width = frames[0].shape
-        boxes = [mv_bounds(b, width, height, config.w) for b in partition(frames[0], config.n)]
-        expected = sum((u1 - u0 + 1) * (v1 - v0 + 1) for u0, u1, v0, v1 in boxes) / len(boxes)
-        if reference.mean_search_points != expected:
-            raise ValueError(
-                f"--reference has mean_search_points {reference.mean_search_points}, "
-                f"but fsa on the input's geometry has {expected}"
-            )
+            raise ValueError(f"--reference was computed on another input: {differ}")
     else:
         reference, _, _ = run_sequence(frames, config, "fsa")
 

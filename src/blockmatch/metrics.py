@@ -44,8 +44,8 @@ class FrameOutcome:
 @dataclass
 class SequenceReport:
     algorithm: str
+    input: dict  # what the report was computed from, see cli.input_identity
     mean_psnr: float
-    d_psnr: float | None
     mean_search_points: float
     infinite_psnr_frames: int
     per_frame: list[FrameScore] = field(default_factory=list)
@@ -94,17 +94,13 @@ def frame_score(
 
 
 def aggregate(
-    algorithm: str,
-    outcomes: Sequence[FrameOutcome],
-    reference: SequenceReport | None = None,
+    algorithm: str, outcomes: Sequence[FrameOutcome], input: dict
 ) -> SequenceReport:
-    """Fold per-frame outcomes into one sequence-level report.
+    """Fold per-frame outcomes on `input` into one sequence-level report.
 
     Mean PSNR averages the finite per-frame values; exact frames (infinite
     PSNR) are excluded from the mean and reported as a separate count.
-    Mean search points is total true evaluations over total blocks. When a
-    reference report is supplied, the degradation ratio of the two mean
-    PSNR values is attached.
+    Mean search points is total true evaluations over total blocks.
     """
     if not outcomes:
         raise ValueError("cannot aggregate an empty sequence")
@@ -113,13 +109,10 @@ def aggregate(
     mean_psnr = sum(finite) / len(finite) if finite else math.inf
     total_evaluations = sum(r.evaluations for o in outcomes for r in o.results)
     total_blocks = sum(len(o.results) for o in outcomes)
-    degradation = None
-    if reference is not None:
-        degradation = d_psnr(reference.mean_psnr, mean_psnr)
     return SequenceReport(
         algorithm=algorithm,
+        input=input,
         mean_psnr=mean_psnr,
-        d_psnr=degradation,
         mean_search_points=total_evaluations / total_blocks,
         infinite_psnr_frames=len(scores) - len(finite),
         per_frame=scores,

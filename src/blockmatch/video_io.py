@@ -373,8 +373,8 @@ def write_json(document: dict, path: str) -> None:
 def report_to_dict(report: SequenceReport) -> dict:
     return {
         "algorithm": report.algorithm,
+        "input": report.input,
         "mean_psnr": report.mean_psnr,
-        "d_psnr": report.d_psnr,
         "mean_search_points": report.mean_search_points,
         "infinite_psnr_frames": report.infinite_psnr_frames,
         "per_frame": [
@@ -390,14 +390,10 @@ def report_to_dict(report: SequenceReport) -> dict:
     }
 
 
-def write_report(report: SequenceReport, path: str, fmt: str | None = None) -> None:
-    """Serialize a sequence report as json or csv (inferred from the file
-    suffix when fmt is omitted)."""
-    if fmt is None:
-        fmt = "csv" if str(path).lower().endswith(".csv") else "json"
-    if fmt == "json":
-        write_json(report_to_dict(report), path)
-    elif fmt == "csv":
+def write_report(report: SequenceReport, path: str) -> None:
+    """Serialize a sequence report as CSV when the path ends in .csv (in
+    any case), as JSON otherwise."""
+    if str(path).lower().endswith(".csv"):
         lines = [REPORT_CSV_HEADER]
         lines += [
             f"{s.frame_index},{s.psnr!r},{s.mse!r},"
@@ -406,18 +402,21 @@ def write_report(report: SequenceReport, path: str, fmt: str | None = None) -> N
         ]
         _atomic_write_text(path, "\n".join(lines) + "\n")
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        write_json(report_to_dict(report), path)
 
 
 def read_report(path: str) -> SequenceReport:
-    """Parse a JSON report back into a SequenceReport."""
+    """Parse a JSON report back into a SequenceReport; a report without an
+    `input` object, such as one written before it was recorded, is rejected."""
     with open(path) as stream:
         try:
             data = json.load(stream)
+            if not isinstance(data["input"], dict):
+                raise TypeError(f"'input' is {type(data['input']).__name__}, not an object")
             return SequenceReport(
                 algorithm=data["algorithm"],
+                input=data["input"],
                 mean_psnr=float(data["mean_psnr"]),
-                d_psnr=None if data["d_psnr"] is None else float(data["d_psnr"]),
                 mean_search_points=float(data["mean_search_points"]),
                 infinite_psnr_frames=int(data["infinite_psnr_frames"]),
                 per_frame=[

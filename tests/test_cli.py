@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ import pytest
 import blockmatch
 from blockmatch.cli import main
 from blockmatch.motion import ALGORITHMS
-from blockmatch.video_io import write_pgm
+from blockmatch.video_io import (
+    SequenceSource,
+    SynthParams,
+    open_sequence,
+    synth_sequence,
+    write_pgm,
+)
 
 
 def run_cli(*argv):
@@ -163,6 +170,35 @@ class TestRun:
         assert status == 1
         assert "--format" in capsys.readouterr().err
 
+    def test_input_identity_covers_decoded_luma(self, tmp_path):
+        # the same luma planes as y4m and as raw 4:2:0 with other chroma
+        rng = np.random.default_rng(9)
+        width, height = 48, 32
+        lumas = [rng.integers(0, 256, (height, width), dtype=np.uint8) for _ in range(3)]
+        chroma = width * height // 2
+        y4m, yuv = tmp_path / "clip.y4m", tmp_path / "clip.yuv"
+        y4m.write_bytes(
+            f"YUV4MPEG2 W{width} H{height} F25:1 C420\n".encode()
+            + b"".join(b"FRAME\n" + y.tobytes() + bytes(chroma) for y in lumas)
+        )
+        yuv.write_bytes(b"".join(y.tobytes() + rng.bytes(chroma) for y in lumas))
+        identities = []
+        for path, extra in ((y4m, ()), (yuv, ("--width", "48", "--height", "32"))):
+            report = tmp_path / f"{path.suffix[1:]}.json"
+            status = run_cli(
+                "run", "--algo", "fsa", "--input", str(path), *extra,
+                "--block-size", "8", "--search-range", "3", "--out", str(report),
+            )
+            assert status == 0
+            identities.append(json.loads(report.read_text())["input"])
+        crc = 0
+        for frame in open_sequence(SequenceSource("y4m", str(y4m))):
+            crc = zlib.crc32(frame, crc)
+        assert identities[0] == identities[1] == {
+            "width": 48, "height": 32, "frames": 3, "n": 8, "w": 3,
+            "crc32": f"{crc:08x}",
+        }
+
 
 class TestCompare:
     def test_self_comparison_has_zero_degradation(self, tmp_path):
@@ -200,35 +236,57 @@ class TestCompare:
             "--reference", str(ref_path),
         )
         assert status == 1
-        assert "predictable frames are 1..5" in capsys.readouterr().err
+        assert "frames 3 vs 6" in capsys.readouterr().err
 
     def test_reference_for_another_geometry_rejected(self, tmp_path, capsys):
-        # same frame count, so only the search points tell the clips apart
         ref_path, out = tmp_path / "fsa.json", tmp_path / "table.json"
         status = run_cli(
             "run", "--algo", "fsa", "--format", "synth", "--input", "random:1,1",
             "--frames", "3", "--out", str(ref_path),
         )
         assert status == 0
-        stored = json.loads(ref_path.read_text())["mean_search_points"]
+        stored = json.loads(ref_path.read_text())["input"]["crc32"]
         small = ("--format", "synth", "--input", "random:2,2", "--frames", "3")
         status = run_cli(
             "compare", "--algo", "tss", *small, "--width", "64", "--height", "64",
             "--reference", str(ref_path), "--out", str(out),
         )
         assert status == 1
-        # 64x64, n=16, w=7: (8 + 15 + 15 + 8)^2 cells over 16 blocks
-        assert f"{stored}, but fsa on the input's geometry has 132.25" in (
-            capsys.readouterr().err
-        )
+        assert "width 176 vs 64, height 144 vs 64" in capsys.readouterr().err
         assert not out.exists()
-        # the same geometry with other content still passes
+        # the same geometry with other content differs only in its digest
+        crc = 0
+        for frame in synth_sequence(
+            "random_texture_translate", SynthParams(du=2, dv=2, frames=3)
+        ):
+            crc = zlib.crc32(frame, crc)
         status = run_cli(
             "compare", "--algo", "tss", *small, "--reference", str(ref_path),
             "--out", str(out),
         )
-        assert status == 0
-        assert json.loads(out.read_text())["rows"][0]["algorithm"] == "tss"
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "error: --reference was computed on another input: "
+            f"crc32 {stored} vs {crc:08x}\n"
+        )
+        assert not out.exists()
+
+    def test_reference_from_before_input_identity_rejected(self, tmp_path, capsys):
+        # the report format without `input`, which carried `d_psnr` instead
+        ref_path, out = tmp_path / "fsa.json", tmp_path / "table.json"
+        clip = ("--format", "synth", "--input", "translate:2,1", "--frames", "3")
+        assert run_cli("run", "--algo", "fsa", *clip, "--out", str(ref_path)) == 0
+        report = json.loads(ref_path.read_text())
+        del report["input"]
+        report["d_psnr"] = None
+        ref_path.write_text(json.dumps(report, indent=2) + "\n")
+        status = run_cli(
+            "compare", "--algo", "tss", *clip, "--reference", str(ref_path),
+            "--out", str(out),
+        )
+        assert status == 1
+        assert f"{ref_path} is not a JSON report" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "subcommand, name",

@@ -22,6 +22,9 @@ def result(evaluations, estimations=0, sad=0, mv=(0, 0)):
     return BlockResult(MotionVector(*mv), sad, evaluations, estimations)
 
 
+IDENTITY = {"width": 48, "height": 48, "frames": 2, "n": 16, "w": 7, "crc32": "00000000"}
+
+
 class TestMse:
     def test_identical_frames(self):
         frame = np.arange(64, dtype=np.uint8).reshape(8, 8)
@@ -105,14 +108,15 @@ class TestDegradationRatio:
 
 class TestAggregate:
     def test_single_block_single_frame(self):
-        report = aggregate("fsa", [FrameOutcome(1, 100.0, [result(12)])])
+        report = aggregate("fsa", [FrameOutcome(1, 100.0, [result(12)])], IDENTITY)
+        assert report.input == IDENTITY
         assert report.mean_search_points == 12.0
         assert report.per_frame[0].avg_evaluations == 12.0
 
     def test_full_window_reference_scale(self):
         # every interior block of an exhaustive run costs the full window
         outcomes = [FrameOutcome(1, 25.0, [result(225) for _ in range(9)])]
-        report = aggregate("fsa", outcomes)
+        report = aggregate("fsa", outcomes, IDENTITY)
         assert report.mean_search_points == 225.0
 
     def test_mean_psnr_is_arithmetic_mean(self):
@@ -120,7 +124,7 @@ class TestAggregate:
             FrameOutcome(1, 65.025, [result(10)]),  # 30 dB
             FrameOutcome(2, 41.02800132482455, [result(20)]),  # 32 dB
         ]
-        report = aggregate("fsa", outcomes)
+        report = aggregate("fsa", outcomes, IDENTITY)
         assert report.mean_psnr == pytest.approx(31.0, abs=1e-9)
         assert report.mean_search_points == 15.0
 
@@ -129,24 +133,14 @@ class TestAggregate:
             FrameOutcome(1, 0.0, [result(10)]),
             FrameOutcome(2, 65.025, [result(10)]),
         ]
-        report = aggregate("fsa", outcomes)
+        report = aggregate("fsa", outcomes, IDENTITY)
         assert report.infinite_psnr_frames == 1
         assert report.mean_psnr == pytest.approx(30.0, abs=1e-9)
 
     def test_all_exact_frames(self):
-        report = aggregate("fsa", [FrameOutcome(1, 0.0, [result(10)])])
+        report = aggregate("fsa", [FrameOutcome(1, 0.0, [result(10)])], IDENTITY)
         assert report.mean_psnr == math.inf
         assert report.infinite_psnr_frames == 1
-
-    def test_reference_attaches_degradation(self):
-        reference = aggregate("fsa", [FrameOutcome(1, 65.025, [result(225)])])
-        report = aggregate(
-            "tss", [FrameOutcome(1, 650.25, [result(25)])], reference
-        )
-        assert report.d_psnr == pytest.approx(
-            -((30.0 - 20.0) / 30.0) * 100.0, rel=1e-9
-        )
-        assert reference.d_psnr is None
 
     def test_totals_have_no_drift(self):
         rng = np.random.default_rng(4)
@@ -161,14 +155,14 @@ class TestAggregate:
             total_evaluations += sum(r.evaluations for r in results)
             total_blocks += len(results)
             outcomes.append(FrameOutcome(index + 1, float(rng.uniform(1, 100)), results))
-        report = aggregate("debm", outcomes)
+        report = aggregate("debm", outcomes, IDENTITY)
         assert report.mean_search_points == pytest.approx(
             total_evaluations / total_blocks, rel=1e-12
         )
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate("fsa", [])
+            aggregate("fsa", [], IDENTITY)
         with pytest.raises(ValueError):
             frame_score(1, 0.0, [])
 

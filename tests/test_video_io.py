@@ -1,6 +1,8 @@
 """Unit tests for sequence ingestion, synthesis and persistence."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from blockmatch.video_io import (
     open_sequence,
     read_pgm,
     read_report,
+    report_to_dict,
     synth_sequence,
     write_mv_dump,
     write_pgm,
@@ -279,8 +282,9 @@ class TestSynth:
 def sample_report():
     return SequenceReport(
         algorithm="debm",
+        input={"width": 176, "height": 144, "frames": 3, "n": 16, "w": 7,
+               "crc32": "0badf00d"},
         mean_psnr=31.25,
-        d_psnr=-1.5,
         mean_search_points=13.25,
         infinite_psnr_frames=1,
         per_frame=[
@@ -297,16 +301,24 @@ class TestReports:
         write_report(report, str(path))
         assert read_report(str(path)) == report
 
-    def test_none_degradation_round_trips(self, tmp_path):
-        report = sample_report()
-        report.d_psnr = None
-        path = tmp_path / "report.json"
-        write_report(report, str(path))
-        assert read_report(str(path)).d_psnr is None
+    @pytest.mark.parametrize(
+        "identity", [None, [], "176x144"], ids=["missing", "list", "string"]
+    )
+    def test_report_without_input_object_names_the_file(self, tmp_path, identity):
+        # the earlier report format had d_psnr and no input
+        document = report_to_dict(sample_report())
+        del document["input"]
+        document["d_psnr"] = None
+        if identity is not None:
+            document["input"] = identity
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(FormatError, match=re.escape(f"{path} is not a JSON report")):
+            read_report(str(path))
 
     def test_csv_row_count(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report(sample_report(), str(path), fmt="csv")
+        write_report(sample_report(), str(path))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1 + 2
         assert lines[0] == "frame_index,psnr_db,mse,avg_eval,avg_est"
@@ -321,10 +333,6 @@ class TestReports:
         path = tmp_path / "r.CSV"
         write_report(sample_report(), str(path))
         assert path.read_text().startswith("frame_index,")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_report(sample_report(), str(tmp_path / "r.xml"), fmt="xml")
 
     def test_write_error_carries_path(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "report.json"
