@@ -230,10 +230,13 @@ def sad(
 # ---------------------------------------------------------------------------
 
 
+_INT32_MAX = 2**31 - 1
+
+
 def _sad_accumulator(n: int) -> type:
     """Narrowest integer dtype that holds the SAD of an n x n block of
     8-bit pixels: int32 up to n = 2901, int64 above."""
-    return np.int32 if n * n * 255 <= np.iinfo(np.int32).max else np.int64
+    return np.int32 if n * n * 255 <= _INT32_MAX else np.int64
 
 
 def _full_search(
@@ -243,32 +246,53 @@ def _full_search(
     w: int,
     probe: SearchProbe | None = None,
 ) -> BlockResult:
-    """Exhaustive search of one block: only its candidate patches are
-    sliced from `windows` and differenced."""
+    """Exhaustive search of one block, laid out as one contiguous run of
+    candidates per block pixel.
+
+    The block's candidate region of the previous frame is copied once
+    into shifted[j, r, u] = previous pixel (x + umin + u + j, y + vmin + r),
+    of shape n x (rows + n - 1) x cols. Block pixel (i, j) then meets
+    candidate (umin + u, vmin + r) at element (i + r)*cols + u of plane j,
+    so the run view runs[i, j, r*cols + u], with element strides
+    (cols, (rows + n - 1)*cols, 1), reads every candidate of that pixel
+    as one stretch of rows*cols cells. Differencing, `abs` and the
+    reduction over the n*n pixels then loop n*n times over long runs
+    instead of rows*cols*n times over rows of n pixels.
+    """
     x, y, n = block
     umin, umax, vmin, vmax = _bounds(windows, block, w)
     rows, cols = vmax - vmin + 1, umax - umin + 1
-    diff = (
-        windows[y + vmin : y + vmax + 1, x + umin : x + umax + 1]
-        - cur[y : y + n, x : x + n]
+    box = windows[y + vmin : y + vmax + 1, x + umin : x + umax + 1]
+    shifted = np.empty((n, rows + n - 1, cols), dtype=np.int16)
+    shifted[:, :rows] = box[:, :, 0].transpose(2, 0, 1)
+    shifted[:, rows:] = box[-1, :, 1:].transpose(2, 1, 0)
+    # np.ndarray(shape, dtype, buffer, offset, strides) builds the run view
+    # without the Python wrapper of as_strided, which costs more per block
+    # than the view itself; strides are in bytes.
+    item = shifted.itemsize
+    runs = np.ndarray(
+        (n, n, rows * cols),
+        np.int16,
+        shifted,
+        0,
+        (cols * item, (rows + n - 1) * cols * item, item),
     )
+    diff = runs - cur[y : y + n, x : x + n, None]
     np.abs(diff, out=diff)
-    sads = np.add.reduce(
-        diff.reshape(rows, cols, n * n), axis=2, dtype=_sad_accumulator(n)
-    )
-    # argmin scans v-major then u, so the first minimum has the smallest
-    # v and, within it, the smallest u.
+    sads = np.add.reduce(diff, axis=(0, 1), dtype=_sad_accumulator(n))
+    # sads[r*cols + u] is candidate (umin + u, vmin + r), so argmin scans
+    # v-major then u: the first minimum has the smallest v and, within
+    # it, the smallest u.
     flat = int(np.argmin(sads))
     vi, ui = divmod(flat, cols)
     mv = MotionVector(umin + ui, vmin + vi)
-    count = sads.size
     if probe is not None:
         probe.visits.extend(
             CellVisit(u, v, EVALUATED)
             for v in range(vmin, vmax + 1)
             for u in range(umin, umax + 1)
         )
-    return BlockResult(mv, int(sads[vi, ui]), count, 0)
+    return BlockResult(mv, int(sads[flat]), sads.size, 0)
 
 
 def full_search(
@@ -458,15 +482,34 @@ def _search_block(
     if algorithm == "fsa":
         return _full_search(cur, windows, block, config.w, probe)
     if algorithm == "debm":
-        seeded = replace(
-            config, de=replace(config.de, rng_seed=config.de.rng_seed ^ index)
-        )
-        return _debm_search(cur, windows, block, seeded, probe)
+        return _debm_search(cur, windows, block, _seeded(config, index), probe)
     if algorithm == "tss":
         return baselines._tss_search(cur, windows, block, config.w, probe)
     if algorithm == "ds":
         return baselines._ds_search(cur, windows, block, config.w, probe)
     raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
+
+
+def _seeded(config: SearchConfig, index: int) -> SearchConfig:
+    """config with debm's seed for the block at `index` in partition
+    order: rng_seed ^ index."""
+    return replace(config, de=replace(config.de, rng_seed=config.de.rng_seed ^ index))
+
+
+def _debm_frame(
+    cur: np.ndarray,
+    windows: np.ndarray,
+    blocks: Sequence[BlockRef],
+    config: SearchConfig,
+) -> list[BlockResult]:
+    """DE-BM over `blocks`, a frame's partition in order, each searched
+    exactly as `search_block` searches it alone. `_debm_search` is looked
+    up on the module for each block, so a replaced attribute sees every
+    block."""
+    return [
+        _debm_search(cur, windows, block, _seeded(config, index))
+        for index, block in enumerate(blocks)
+    ]
 
 
 def estimate_frame(
@@ -484,10 +527,13 @@ def estimate_frame(
     _require_pair(current, previous)
     blocks = partition(current, config.n)
     cur, windows = _widen(current, previous, config.n)
-    results = [
-        _search_block(algorithm, cur, windows, block, config, index)
-        for index, block in enumerate(blocks)
-    ]
+    if algorithm == "debm":
+        results = _debm_frame(cur, windows, blocks, config)
+    else:
+        results = [
+            _search_block(algorithm, cur, windows, block, config, index)
+            for index, block in enumerate(blocks)
+        ]
 
     rows, cols = grid_shape(current.shape, config.n)
     field_array = np.zeros((rows, cols, 2), dtype=np.int32)

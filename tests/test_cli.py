@@ -548,3 +548,23 @@ class TestArgumentSurface:
         )
         assert done.returncode == 0, done.stderr
         assert "fsa: frame_pairs=1" in done.stdout
+
+    def test_cli_import_leaves_hashlib_unloaded(self):
+        # hashlib loads OpenSSL's _hashlib, about 3.4 MB of resident memory
+        # on top of numpy; the report's input identity uses zlib's crc32.
+        script = (
+            "import sys\n"
+            "import blockmatch.cli\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(blockmatch.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blockmatch import motion
 from blockmatch.de import DeParams
 from blockmatch.estimator import ESTIMATED, EVALUATED
 from blockmatch.motion import (
@@ -31,14 +32,15 @@ from blockmatch.motion import (
 
 
 def naive_sad(current, previous, block, mv):
-    """Independent double-loop oracle for the matching cost."""
+    """Independent double-loop oracle for the matching cost; the frames
+    are arrays or nested lists of rows."""
     x, y, n = block
     u, v = mv
     total = 0
     for j in range(n):
         for i in range(n):
             total += abs(
-                int(current[y + j, x + i]) - int(previous[y + v + j, x + u + i])
+                int(current[y + j][x + i]) - int(previous[y + v + j][x + u + i])
             )
     return total
 
@@ -46,6 +48,8 @@ def naive_sad(current, previous, block, mv):
 def naive_full_search(current, previous, block, w):
     """Independent exhaustive oracle: first minimum in v-major scan order."""
     height, width = previous.shape
+    # Python lists index an order of magnitude faster than arrays.
+    current, previous = current.tolist(), previous.tolist()
     best = None
     count = 0
     for v in range(-w, w + 1):
@@ -196,21 +200,29 @@ class TestFullSearch:
 
 @st.composite
 def fsa_frames(draw):
-    """A small frame pair with block size 1-8 and window 1-6: random
-    pixels, pixels drawn from {0, 255}, or an all-255 frame against an
-    all-0 one, which gives the largest SAD an n x n block can have."""
-    n = draw(st.integers(1, 8))
-    height = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
-    width = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
-    kind = draw(st.sampled_from(["random", "binary", "saturated"]))
+    """A small frame pair with block size 1-12 and window 1 to 2n+3, so
+    the window can be wider than the frame and n can exceed the rows of
+    candidates. About half the grids have no remainder, so a candidate
+    region can end on the frame's last row and column. The pixels are
+    random, drawn from {0, 255}, an all-255 frame against an all-0 one
+    (the largest SAD an n x n block can have), or two constant frames,
+    where every candidate ties."""
+    n = draw(st.integers(1, 12))
+    remainder = st.just(0) | st.integers(0, n - 1)
+    height = n * draw(st.integers(1, 3)) + draw(remainder)
+    width = n * draw(st.integers(1, 3)) + draw(remainder)
+    kind = draw(st.sampled_from(["random", "binary", "saturated", "constant"]))
     if kind == "saturated":
         current = np.full((height, width), 255, dtype=np.uint8)
         previous = np.zeros((height, width), dtype=np.uint8)
+    elif kind == "constant":
+        current = np.full((height, width), draw(st.integers(0, 255)), dtype=np.uint8)
+        previous = np.full((height, width), draw(st.integers(0, 255)), dtype=np.uint8)
     else:
         pixels = st.integers(0, 255) if kind == "random" else st.sampled_from([0, 255])
         current = draw(arrays(np.uint8, (height, width), elements=pixels))
         previous = draw(arrays(np.uint8, (height, width), elements=pixels))
-    return current, previous, SearchConfig(w=draw(st.integers(1, 6)), n=n)
+    return current, previous, SearchConfig(w=draw(st.integers(1, 2 * n + 3)), n=n)
 
 
 class TestFullSearchKernel:
@@ -232,6 +244,33 @@ class TestFullSearchKernel:
         assert _sad_accumulator(1) is np.int32
         assert _sad_accumulator(2901) is np.int32
         assert _sad_accumulator(2902) is np.int64
+
+
+class TestDebmFrame:
+    def test_estimate_frame_searches_each_block_once_in_order(self, monkeypatch):
+        # The benchmark's per-block debm hook replaces `_debm_search` on
+        # the module; a frame run must pass every block through it.
+        rng = np.random.default_rng(25)
+        current = random_frame(rng, 40, 56)
+        previous = random_frame(rng, 40, 56)
+        config = SearchConfig(w=4, n=8, de=DeParams(rng_seed=9))
+        blocks = partition(current, config.n)
+        calls = []
+        search = motion._debm_search
+
+        def counting(cur, windows, block, seeded, probe=None):
+            calls.append((block, seeded.de.rng_seed))
+            return search(cur, windows, block, seeded, probe)
+
+        monkeypatch.setattr(motion, "_debm_search", counting)
+        _, results = estimate_frame(current, previous, config, "debm")
+        assert calls == [(block, 9 ^ index) for index, block in enumerate(blocks)]
+
+        wide = _widen(current, previous, config.n)
+        assert motion._debm_frame(*wide, blocks, config) == results == [
+            search_block("debm", current, previous, block, config, index)
+            for index, block in enumerate(blocks)
+        ]
 
 
 class TestInitialPattern:
