@@ -17,7 +17,6 @@ import zlib
 
 import numpy as np
 
-from .de import DeParams
 from .metrics import (
     FrameOutcome,
     SequenceReport,
@@ -170,11 +169,7 @@ def load_frames(args) -> list[np.ndarray]:
 
 
 def build_config(args) -> SearchConfig:
-    return SearchConfig(
-        w=args.search_range,
-        n=args.block_size,
-        de=DeParams(rng_seed=args.seed),
-    )
+    return SearchConfig(w=args.search_range, n=args.block_size, rng_seed=args.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ real-valued search space of any dimension, starting from a given set of
 seed positions, one individual per seed. The objective may return
 estimated rather than truly computed values; the optimizer does not
 distinguish them, so callers keep that accounting themselves.
+
+The control parameters are the paper's reference set, fixed by design:
+F, the mutation scale factor; CR, the crossover rate; and GENERATIONS,
+the number of mutate/crossover/select rounds. A variant with other
+values is another algorithm, not a setting of this one.
 """
 
 import random
@@ -14,29 +19,9 @@ from typing import Callable, NamedTuple, Sequence
 Position = tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class DeParams:
-    """Control parameters for one optimizer run.
-
-    f: mutation scale factor, positive and at most 2.
-    cr: crossover rate in [0, 1].
-    generations: number of mutate/crossover/select rounds, at least 1.
-    rng_seed: seed for all stochastic decisions; identical seeds and
-        inputs give bitwise-identical runs.
-    """
-
-    f: float = 0.25
-    cr: float = 0.8
-    generations: int = 7
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.f <= 2.0:
-            raise ValueError(f"mutation factor must be in (0, 2], got {self.f}")
-        if not 0.0 <= self.cr <= 1.0:
-            raise ValueError(f"crossover rate must be in [0, 1], got {self.cr}")
-        if self.generations < 1:
-            raise ValueError(f"generations must be positive, got {self.generations}")
+F = 0.25
+CR = 0.8
+GENERATIONS = 7
 
 
 @dataclass
@@ -79,10 +64,9 @@ def mutate_best_1(
     population: Sequence[Candidate],
     best_index: int,
     target_index: int,
-    params: DeParams,
     rng: random.Random,
 ) -> Position:
-    """Donor = best + f * (partner1 - partner2), partners drawn per target.
+    """Donor = best + F * (partner1 - partner2), partners drawn per target.
 
     The donor may leave the search bounds; positions are only clamped when
     they are converted for fitness evaluation, never here.
@@ -92,18 +76,17 @@ def mutate_best_1(
         population[best_index].position,
         population[r1].position,
         population[r2].position,
-        params.f,
+        F,
     )
 
 
 def crossover(
     target: Candidate,
     donor: Position,
-    params: DeParams,
     rng: random.Random,
 ) -> Position:
     """Binomial crossover: each component comes from the donor with
-    probability cr, and one component drawn uniformly (j_rand) comes from
+    probability CR, and one component drawn uniformly (j_rand) comes from
     the donor always."""
     if len(target.position) != len(donor):
         raise ValueError(
@@ -112,7 +95,7 @@ def crossover(
     dim = len(donor)
     j_rand = rng.randrange(dim)
     return tuple(
-        donor[j] if rng.random() <= params.cr or j == j_rand else target.position[j]
+        donor[j] if rng.random() <= CR or j == j_rand else target.position[j]
         for j in range(dim)
     )
 
@@ -157,15 +140,17 @@ class _BestPerGeneration(list):
 
 def run(
     objective: Callable[[Position], float],
-    params: DeParams,
+    rng_seed: int,
     seed_positions: Sequence[Sequence[float]],
     repair: Callable[[Position], Position] | None = None,
 ) -> tuple[Candidate, list[float]]:
     """Minimize `objective` and return (best of final population,
     best_per_generation).
 
+    All stochastic decisions draw from random.Random(rng_seed), so
+    identical seeds and inputs give bitwise-identical runs.
     best_per_generation holds the population-best fitness after
-    initialization and after each generation, generations + 1 values.
+    initialization and after each generation, GENERATIONS + 1 values.
     The population is the seed positions, one individual each; at least 4
     are needed so the best vector plus two mutation partners distinct from
     the target always exist. Each generation mutates around the current
@@ -179,7 +164,7 @@ def run(
         raise ValueError(
             f"population needs at least 4 seed positions, got {len(seed_positions)}"
         )
-    rng = random.Random(params.rng_seed)
+    rng = random.Random(rng_seed)
     population = []
     for pos in seed_positions:
         position = tuple(float(x) for x in pos)
@@ -187,11 +172,11 @@ def run(
     best_index = best_index_of(population)
     best_per_generation = _BestPerGeneration([population[best_index].fitness])
 
-    for _ in range(params.generations):
+    for _ in range(GENERATIONS):
         next_population = []
         for i, target in enumerate(population):
-            donor = mutate_best_1(population, best_index, i, params, rng)
-            trial_position = crossover(target, donor, params, rng)
+            donor = mutate_best_1(population, best_index, i, rng)
+            trial_position = crossover(target, donor, rng)
             if repair is not None:
                 trial_position = repair(trial_position)
             trial = Candidate(trial_position, objective(trial_position))

@@ -4,11 +4,14 @@ Every fitness request within one search is recorded in a history store.
 A new position is truly evaluated when the best point seen so far is one
 of its nearest recorded neighbors (worth refining), also when other
 records lie at the same distance, or when no record lies within the
-distance threshold (nothing to copy from); otherwise its fitness is
+distance threshold D (nothing to copy from); otherwise its fitness is
 copied from the earliest nearest neighbor. Fitness is nonnegative, so a
 truly evaluated 0 leaves nothing to refine: from then on, near positions
 are copied. Estimated entries join the store too, so later queries may
 chain off them.
+
+D is the paper's copy threshold, fixed by design like the optimizer's
+parameters in `de`.
 """
 
 import enum
@@ -22,17 +25,9 @@ from .de import Position
 EVALUATED = "evaluated"
 ESTIMATED = "estimated"
 
-
-@dataclass(frozen=True)
-class StrategyParams:
-    """d: neighbor-distance threshold (pixels, Euclidean) steering the
-    trade-off between true evaluations and copies."""
-
-    d: float = 2.5
-
-    def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError(f"distance threshold must be positive, got {self.d}")
+# Neighbor-distance threshold (pixels, Euclidean) steering the trade-off
+# between true evaluations and copies.
+D = 2.5
 
 
 class Rule(enum.Enum):
@@ -102,12 +97,11 @@ class HistoryStore:
 def classify(
     store: HistoryStore,
     position: Position,
-    params: StrategyParams,
     hit: NearestHit | None = None,
 ) -> Rule:
     """Decide how a position's fitness is obtained.
 
-    Exactly one rule applies: no record within d (or an empty store)
+    Exactly one rule applies: no record within D (or an empty store)
     means UNEXPLORED (evaluate, nothing nearby to copy from); the best
     record seen so far lying at the nearest distance means NEAR_BEST
     (evaluate, to keep refining the minimum), even when other records are
@@ -121,7 +115,7 @@ def classify(
     """
     if hit is None and store.records:
         hit = store.nearest(position)
-    if hit is None or hit.distance > params.d:
+    if hit is None or hit.distance > D:
         return Rule.UNEXPLORED
     best = store.best()
     if best.fitness == 0 and best.kind == EVALUATED:
@@ -136,7 +130,6 @@ def classify(
 def fitness_of(
     store: HistoryStore,
     position: Position,
-    params: StrategyParams,
     objective: Callable[[Position], float],
 ) -> float:
     """Resolve one fitness request, record it in the store and return its
@@ -149,7 +142,7 @@ def fitness_of(
     propagate and leave the store as-is.
     """
     hit = store.nearest(position)
-    if classify(store, position, params, hit) is Rule.NEIGHBOR_COPY:
+    if classify(store, position, hit) is Rule.NEIGHBOR_COPY:
         value = hit.record.fitness
         kind = ESTIMATED
     else:
@@ -157,17 +150,3 @@ def fitness_of(
         kind = EVALUATED
     store.append(EvaluationRecord(tuple(position), value, kind))
     return value
-
-
-def provider(
-    store: HistoryStore,
-    params: StrategyParams,
-    objective: Callable[[Position], float],
-) -> Callable[[Position], float]:
-    """Bind store, params and objective into the objective `de.run`
-    minimizes."""
-
-    def request(position: Position) -> float:
-        return fitness_of(store, position, params, objective)
-
-    return request

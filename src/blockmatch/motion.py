@@ -9,21 +9,15 @@ the matching cost is the sum of absolute differences over the block.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import de
-from .de import DeParams, Position
-from .estimator import (
-    EVALUATED,
-    EvaluationRecord,
-    HistoryStore,
-    StrategyParams,
-    provider,
-)
+from . import de, estimator
+from .de import Position
+from .estimator import EVALUATED, HistoryStore
 
 # The searches search_block dispatches to, by name.
 ALGORITHMS = ("fsa", "debm", "tss", "ds")
@@ -45,13 +39,17 @@ class BlockRef(NamedTuple):
 @dataclass(frozen=True)
 class SearchConfig:
     """Search settings; the defaults are the reference configuration
-    (16x16 blocks, +-7 px window, f=0.25, cr=0.8, 5 individuals, one per
-    pattern point, over 7 generations, copy threshold 2.5)."""
+    (16x16 blocks, +-7 px window).
+
+    rng_seed seeds debm: the block at index i in partition order runs its
+    optimizer from rng_seed ^ i. DE-BM's other parameters are the paper's
+    and not settable: de.F, de.CR and de.GENERATIONS, 5 individuals, one
+    per pattern point, and the copy threshold estimator.D.
+    """
 
     w: int = 7
     n: int = 16
-    de: DeParams = field(default_factory=DeParams)
-    strategy: StrategyParams = field(default_factory=StrategyParams)
+    rng_seed: int = 0
 
     def __post_init__(self):
         if self.w < 1:
@@ -89,13 +87,11 @@ class SearchProbe:
 
     visits: the cells the search obtained a cost for, in order, each
         tagged EVALUATED or ESTIMATED; fsa, tss and ds list a cell once.
-    records: debm's history store, evaluated and estimated entries alike.
     best_per_generation: debm's population-best fitness after
         initialization and after each generation.
     """
 
     visits: list[CellVisit] = field(default_factory=list)
-    records: list[EvaluationRecord] = field(default_factory=list)
     best_per_generation: list[float] = field(default_factory=list)
 
 
@@ -184,8 +180,8 @@ def _widen(
 
 def _bounds(windows: np.ndarray, block: BlockRef, w: int) -> tuple[int, int, int, int]:
     """`mv_bounds` for a block of the frame pair `windows` was built from."""
-    height, width = windows.shape[0] + block.n - 1, windows.shape[1] + block.n - 1
-    return mv_bounds(block, width, height, w)
+    rows, cols, n, _ = windows.shape
+    return mv_bounds(block, cols + n - 1, rows + n - 1, w)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +359,15 @@ def _debm_search(
     cur: np.ndarray,
     windows: np.ndarray,
     block: BlockRef,
-    config: SearchConfig,
+    w: int,
+    rng_seed: int,
     probe: SearchProbe | None = None,
 ) -> BlockResult:
     """Search one block with differential evolution plus fitness copying.
 
     Individuals live on the valid displacement lattice. The five pattern
     points, projected onto it, are requested up front, then each of the
-    configured generations mutates around the running best, crosses over,
+    de.GENERATIONS generations mutates around the running best, crosses over,
     rounds the trial to its cell and resolves its cost through the
     evaluate-or-estimate dispatch. A trial that lands on the cell of the
     best record so far moves to the nearest cell not yet requested in
@@ -380,7 +377,6 @@ def _debm_search(
     lowest cost the search truly computed: no copied value is reported and
     no extra evaluation is spent.
     """
-    w = config.w
     bounds = _bounds(windows, block, w)
     umin, umax, vmin, vmax = bounds
     offsets = _offsets_nearest_first(w)
@@ -419,12 +415,12 @@ def _debm_search(
         u, v = position
         return float(_sad_wide(cur, windows, block, int(u), int(v)))
 
-    _, best_per_generation = de.run(
-        provider(store, config.strategy, objective),
-        config.de,
-        seeds,
-        repair,
-    )
+    def request(position: Position) -> float:
+        # Looked up on the module when called, so a replaced attribute
+        # sees every request.
+        return estimator.fitness_of(store, position, objective)
+
+    _, best_per_generation = de.run(request, rng_seed, seeds, repair)
 
     best = store.best()
     mv = MotionVector(*map(int, best.position))
@@ -432,7 +428,6 @@ def _debm_search(
     estimations = len(store.records) - evaluations
     if probe is not None:
         probe.best_per_generation = best_per_generation
-        probe.records = list(store.records)
         probe.visits = [
             CellVisit(*map(int, r.position), r.kind)
             for r in store.records
@@ -482,18 +477,12 @@ def _search_block(
     if algorithm == "fsa":
         return _full_search(cur, windows, block, config.w, probe)
     if algorithm == "debm":
-        return _debm_search(cur, windows, block, _seeded(config, index), probe)
+        return _debm_search(cur, windows, block, config.w, config.rng_seed ^ index, probe)
     if algorithm == "tss":
         return baselines._tss_search(cur, windows, block, config.w, probe)
     if algorithm == "ds":
         return baselines._ds_search(cur, windows, block, config.w, probe)
     raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
-
-
-def _seeded(config: SearchConfig, index: int) -> SearchConfig:
-    """config with debm's seed for the block at `index` in partition
-    order: rng_seed ^ index."""
-    return replace(config, de=replace(config.de, rng_seed=config.de.rng_seed ^ index))
 
 
 def _debm_frame(
@@ -507,7 +496,7 @@ def _debm_frame(
     up on the module for each block, so a replaced attribute sees every
     block."""
     return [
-        _debm_search(cur, windows, block, _seeded(config, index))
+        _debm_search(cur, windows, block, config.w, config.rng_seed ^ index)
         for index, block in enumerate(blocks)
     ]
 

@@ -18,14 +18,13 @@ import numpy as np
 import pytest
 
 from blockmatch.cli import main
-from blockmatch.de import DeParams
 from blockmatch.estimator import (
+    D,
     ESTIMATED,
     EVALUATED,
     EvaluationRecord,
     HistoryStore,
     Rule,
-    StrategyParams,
     classify,
     fitness_of,
 )
@@ -175,7 +174,7 @@ def test_criterion_04_debm_accuracy_vs_oracle(translation_sequence):
     debm_sads = []
     debm_psnrs = []
     for seed in range(10):
-        seeded = SearchConfig(de=DeParams(rng_seed=seed))
+        seeded = SearchConfig(rng_seed=seed)
         for t in range(1, len(frames)):
             mv_field, results = estimate_frame(
                 frames[t], frames[t - 1], seeded, "debm"
@@ -233,7 +232,7 @@ def test_criterion_05_exact_translation_recovery():
                 fsa_ok = False
         hits = {i: 0 for i in interior}
         for seed in range(10):
-            config = SearchConfig(de=DeParams(rng_seed=seed))
+            config = SearchConfig(rng_seed=seed)
             _, results = estimate_frame(current, previous, config, "debm")
             for i in interior:
                 hit = results[i].sad == 0
@@ -316,7 +315,6 @@ def test_criterion_07_run_determinism(tmp_path):
 
 
 def test_criterion_08_fitness_strategy_dispatch():
-    params = StrategyParams()
     calls = [0]
 
     def objective(position):
@@ -325,16 +323,16 @@ def test_criterion_08_fitness_strategy_dispatch():
 
     # empty store -> true evaluation
     store = HistoryStore()
-    assert classify(store, (0.0, 0.0), params) is Rule.UNEXPLORED
-    fitness_of(store, (0.0, 0.0), params, objective)
+    assert classify(store, (0.0, 0.0)) is Rule.UNEXPLORED
+    fitness_of(store, (0.0, 0.0), objective)
     assert (store.records[-1].kind, calls[0]) == (EVALUATED, 1)
 
     # far neighbor -> true evaluation
     store = HistoryStore()
     store.append(EvaluationRecord((0.0, 0.0), 50.0, EVALUATED))
     calls[0] = 0
-    assert classify(store, (5.0, 5.0), params) is Rule.UNEXPLORED
-    fitness_of(store, (5.0, 5.0), params, objective)
+    assert classify(store, (5.0, 5.0)) is Rule.UNEXPLORED
+    fitness_of(store, (5.0, 5.0), objective)
     assert calls[0] == 1
 
     # near-best neighbor -> true evaluation
@@ -342,8 +340,8 @@ def test_criterion_08_fitness_strategy_dispatch():
     store.append(EvaluationRecord((5.0, 4.0), 10.0, EVALUATED))
     store.append(EvaluationRecord((0.0, 0.0), 90.0, EVALUATED))
     calls[0] = 0
-    assert classify(store, (6.0, 4.0), params) is Rule.NEAR_BEST
-    fitness_of(store, (6.0, 4.0), params, objective)
+    assert classify(store, (6.0, 4.0)) is Rule.NEAR_BEST
+    fitness_of(store, (6.0, 4.0), objective)
     assert calls[0] == 1
 
     # near-non-best neighbor -> copy without touching the objective
@@ -351,19 +349,19 @@ def test_criterion_08_fitness_strategy_dispatch():
     store.append(EvaluationRecord((0.0, 0.0), 50.0, EVALUATED))
     store.append(EvaluationRecord((6.0, 0.0), 80.0, EVALUATED))
     calls[0] = 0
-    assert classify(store, (6.0, 1.0), params) is Rule.NEIGHBOR_COPY
-    value = fitness_of(store, (6.0, 1.0), params, objective)
+    assert classify(store, (6.0, 1.0)) is Rule.NEIGHBOR_COPY
+    value = fitness_of(store, (6.0, 1.0), objective)
     kind = store.records[-1].kind
     assert (value, kind, calls[0]) == (80.0, ESTIMATED, 0)
 
     # exact duplicate of the best -> re-evaluated; of a non-best -> copied
     calls[0] = 0
-    assert classify(store, (0.0, 0.0), params) is Rule.NEAR_BEST
-    fitness_of(store, (0.0, 0.0), params, objective)
+    assert classify(store, (0.0, 0.0)) is Rule.NEAR_BEST
+    fitness_of(store, (0.0, 0.0), objective)
     assert calls[0] == 1
     calls[0] = 0
-    assert classify(store, (6.0, 0.0), params) is Rule.NEIGHBOR_COPY
-    value = fitness_of(store, (6.0, 0.0), params, objective)
+    assert classify(store, (6.0, 0.0)) is Rule.NEIGHBOR_COPY
+    value = fitness_of(store, (6.0, 0.0), objective)
     kind = store.records[-1].kind
     assert (value, kind, calls[0]) == (80.0, ESTIMATED, 0)
 
@@ -373,13 +371,13 @@ def test_criterion_08_fitness_strategy_dispatch():
     for _ in range(300):
         position = (float(rng.uniform(-7, 7)), float(rng.uniform(-7, 7)))
         value = fitness_of(
-            store, position, params, lambda p: float(rng.integers(0, 1000))
+            store, position, lambda p: float(rng.integers(0, 1000))
         )
         kind = store.records[-1].kind
         if kind == ESTIMATED:
             assert any(
                 r.fitness == value
-                and math.dist(r.position, position) <= params.d
+                and math.dist(r.position, position) <= D
                 for r in store.records[:-1]
             )
     report(8, True, "fitness-strategy dispatch", "all rules with exact call counts")
@@ -421,7 +419,7 @@ def test_criterion_10_monotone_population_best():
             if searches >= 1000:
                 break
             probe = SearchProbe()
-            config = SearchConfig(de=DeParams(rng_seed=seed))
+            config = SearchConfig(rng_seed=seed)
             search_block("debm", current, previous, block, config, index, probe)
             best = probe.best_per_generation
             assert all(b <= a for a, b in zip(best, best[1:])), (

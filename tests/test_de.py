@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from blockmatch import de
+from blockmatch import de, estimator
 from blockmatch.de import (
     Candidate,
-    DeParams,
     crossover,
     donor_vector,
     mutate_best_1,
@@ -64,63 +63,39 @@ SEEDS = [(0.0, 0.0), (-4.0, 0.0), (4.0, 0.0), (0.0, -4.0), (0.0, 4.0)]
 
 class TestDeParams:
     def test_defaults_are_reference_configuration(self):
-        params = DeParams()
-        assert params.f == 0.25
-        assert params.cr == 0.8
-        assert params.generations == 7
-
-    @pytest.mark.parametrize("f", [0.0, -0.5, 2.5])
-    def test_mutation_factor_bounds(self, f):
-        with pytest.raises(ValueError):
-            DeParams(f=f)
-
-    def test_sanity_upper_bound_is_inclusive(self):
-        assert DeParams(f=2.0).f == 2.0
-
-    @pytest.mark.parametrize("cr", [-0.01, 1.01])
-    def test_crossover_rate_bounds(self, cr):
-        with pytest.raises(ValueError):
-            DeParams(cr=cr)
-
-    def test_crossover_rate_endpoints_valid(self):
-        assert DeParams(cr=0.0).cr == 0.0
-        assert DeParams(cr=1.0).cr == 1.0
-
-    def test_zero_generations_rejected(self):
-        with pytest.raises(ValueError):
-            DeParams(generations=0)
+        # f, cr, generations and the copy threshold d of the paper
+        assert (de.F, de.CR, de.GENERATIONS, estimator.D) == (0.25, 0.8, 7, 2.5)
 
 
 class TestInitPopulation:
     def test_exact_seed_pattern(self):
         objective = recording(sphere)
-        de.run(objective, DeParams(), SEEDS)
+        de.run(objective, 0, SEEDS)
         assert objective.requested[:5] == SEEDS
-        assert len(objective.requested) == 5 * (1 + DeParams().generations)
+        assert len(objective.requested) == 5 * (1 + de.GENERATIONS)
 
     def test_single_seed(self):
         with pytest.raises(ValueError):
-            de.run(sphere, DeParams(), [(0.0, 0.0)])
+            de.run(sphere, 0, [(0.0, 0.0)])
 
     def test_zero_population_rejected(self):
         with pytest.raises(ValueError):
-            de.run(sphere, DeParams(), [])
+            de.run(sphere, 0, [])
 
     def test_one_individual_per_seed(self):
         start = random_start(3, count=7)
-        params = DeParams(rng_seed=3)
         objective = recording(sphere)
-        de.run(objective, params, start)
+        de.run(objective, 3, start)
         assert objective.requested[:7] == start
-        assert len(objective.requested) == 7 * (1 + params.generations)
+        assert len(objective.requested) == 7 * (1 + de.GENERATIONS)
 
     def test_population_needs_best_plus_partners(self):
         with pytest.raises(ValueError):
-            de.run(sphere, DeParams(), SEEDS[:3])
+            de.run(sphere, 0, SEEDS[:3])
         objective = recording(sphere)
-        de.run(objective, DeParams(), SEEDS[:4])
+        de.run(objective, 0, SEEDS[:4])
         assert objective.requested[:4] == SEEDS[:4]
-        assert len(objective.requested) == 4 * (1 + DeParams().generations)
+        assert len(objective.requested) == 4 * (1 + de.GENERATIONS)
 
 
 class TestMutation:
@@ -140,7 +115,7 @@ class TestMutation:
             Candidate((5.0, 5.0)),
             Candidate((5.0, 5.0)),
         ]
-        donor = mutate_best_1(population, 0, 0, DeParams(), random.Random(9))
+        donor = mutate_best_1(population, 0, 0, random.Random(9))
         assert donor == (2.0, 3.0)
         [(_, _, r1, r2)] = partner_draws
         assert r1 != r2 and r1 != 0 and r2 != 0
@@ -156,30 +131,33 @@ class TestMutation:
     def test_population_too_small(self):
         population = [Candidate((0.0,)), Candidate((1.0,))]
         with pytest.raises(ValueError):
-            mutate_best_1(population, 0, 0, DeParams(), random.Random(0))
+            mutate_best_1(population, 0, 0, random.Random(0))
 
-    def test_donor_may_exit_bounds(self):
+    def test_donor_may_exit_bounds(self, monkeypatch):
+        monkeypatch.setattr(de, "F", 2.0)
         population = [
             Candidate((7.0, 7.0)),
             Candidate((7.0, -7.0)),
             Candidate((-7.0, 7.0)),
             Candidate((0.0, 0.0)),
         ]
-        donor = mutate_best_1(population, 0, 3, DeParams(f=2.0), random.Random(5))
+        donor = mutate_best_1(population, 0, 3, random.Random(5))
         assert len(donor) == 2  # no clamping inside the optimizer
 
 
 class TestCrossover:
-    def test_full_rate_copies_donor(self):
+    def test_full_rate_copies_donor(self, monkeypatch):
+        monkeypatch.setattr(de, "CR", 1.0)
         target = Candidate((1.0, 2.0))
-        trial = crossover(target, (9.0, 8.0), DeParams(cr=1.0), random.Random(0))
+        trial = crossover(target, (9.0, 8.0), random.Random(0))
         assert trial == (9.0, 8.0)
 
-    def test_zero_rate_keeps_target_except_forced_index(self):
+    def test_zero_rate_keeps_target_except_forced_index(self, monkeypatch):
+        monkeypatch.setattr(de, "CR", 0.0)
         target = Candidate((1.0, 2.0))
         donor = (9.0, 8.0)
         for seed in range(50):
-            trial = crossover(target, donor, DeParams(cr=0.0), random.Random(seed))
+            trial = crossover(target, donor, random.Random(seed))
             j_rand = forced_index(seed, 2)
             assert trial[j_rand] == donor[j_rand]
             other = 1 - j_rand
@@ -189,20 +167,20 @@ class TestCrossover:
         target = Candidate((1.0, 2.0, 3.0))
         donor = (9.0, 8.0, 7.0)
         for seed in range(200):
-            trial = crossover(target, donor, DeParams(), random.Random(seed))
+            trial = crossover(target, donor, random.Random(seed))
             j_rand = forced_index(seed, 3)
             assert trial[j_rand] == donor[j_rand]
 
     def test_seeded_determinism(self):
         target = Candidate((1.0, 2.0))
         donor = (9.0, 8.0)
-        first = crossover(target, donor, DeParams(), random.Random(42))
-        second = crossover(target, donor, DeParams(), random.Random(42))
+        first = crossover(target, donor, random.Random(42))
+        second = crossover(target, donor, random.Random(42))
         assert first == second
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            crossover(Candidate((1.0, 2.0)), (1.0,), DeParams(), random.Random(0))
+            crossover(Candidate((1.0, 2.0)), (1.0,), random.Random(0))
 
 
 class TestSelect:
@@ -229,16 +207,15 @@ class TestSelect:
 class TestRun:
     def test_population_best_monotone_on_sphere(self):
         for seed in range(25):
-            _, best = de.run(sphere, DeParams(rng_seed=seed), random_start(seed))
+            _, best = de.run(sphere, seed, random_start(seed))
             assert len(best) == 8  # init snapshot + 7 generations
             assert all(b <= a for a, b in zip(best, best[1:]))
 
     def test_trace_is_bitwise_reproducible(self):
-        params = DeParams(rng_seed=123)
         start = random_start(123)
         objective_a, objective_b = recording(sphere), recording(sphere)
-        best_a, per_generation_a = de.run(objective_a, params, start)
-        best_b, per_generation_b = de.run(objective_b, params, start)
+        best_a, per_generation_a = de.run(objective_a, 123, start)
+        best_b, per_generation_b = de.run(objective_b, 123, start)
         assert best_a == best_b
         assert per_generation_a == per_generation_b
         assert objective_a.requested == objective_b.requested
@@ -246,7 +223,7 @@ class TestRun:
     def test_partner_indices_valid_throughout(self, partner_draws):
         for seed in range(20):
             partner_draws.clear()
-            de.run(sphere, DeParams(rng_seed=seed), random_start(seed))
+            de.run(sphere, seed, random_start(seed))
             # one draw per target, targets in population order, each generation
             assert [target for _, target, _, _ in partner_draws] == list(range(5)) * 7
             for size, target, r1, r2 in partner_draws:
@@ -255,7 +232,7 @@ class TestRun:
                 assert r1 != target
                 assert r2 != target
 
-    def test_converges_near_origin(self):
+    def test_converges_near_origin(self, monkeypatch):
         # The optimum sits at the origin (verified by a brute-force grid
         # scan below). With random_start and the canonical scale factor the
         # first 20 seeds land within 1.0 of it in 18 runs; frozen from
@@ -264,17 +241,15 @@ class TestRun:
             sphere((x * 0.5, y * 0.5)) for x in range(-14, 15) for y in range(-14, 15)
         )
         assert grid_best == 0.0
-        params_base = dict(f=0.5, cr=0.8)
+        monkeypatch.setattr(de, "F", 0.5)
         hits = 0
         for seed in range(20):
-            best, _ = de.run(
-                sphere, DeParams(rng_seed=seed, **params_base), random_start(seed)
-            )
+            best, _ = de.run(sphere, seed, random_start(seed))
             hits += math.dist(best.position, (0.0, 0.0)) <= 1.0
         assert hits >= 18
 
     def test_seeded_start_keeps_known_optimum(self):
-        best, per_generation = de.run(sphere, DeParams(rng_seed=7), SEEDS)
+        best, per_generation = de.run(sphere, 7, SEEDS)
         assert best.fitness == 0.0
         assert per_generation[0] == 0.0
 
@@ -283,14 +258,13 @@ class TestRun:
             raise RuntimeError("objective exploded")
 
         with pytest.raises(RuntimeError, match="objective exploded"):
-            de.run(broken, DeParams(), random_start(0))
+            de.run(broken, 0, random_start(0))
 
     def test_requests_match_budget(self):
-        params = DeParams(rng_seed=5)
         start = random_start(5)
         objective = recording(sphere)
-        de.run(objective, params, start)
-        assert len(objective.requested) == len(start) * (1 + params.generations)
+        de.run(objective, 5, start)
+        assert len(objective.requested) == len(start) * (1 + de.GENERATIONS)
 
     def test_repair_applies_to_every_trial_and_no_seed(self):
         seeds = [(0.5, 0.5), (-4.0, 0.0), (4.0, 0.0), (0.0, -4.0), (0.0, 4.0)]
@@ -300,17 +274,16 @@ class TestRun:
             proposed.append(position)
             return tuple(float(round(x)) for x in position)
 
-        params = DeParams(rng_seed=9)
         objective = recording(sphere)
-        de.run(objective, params, seeds, to_integers)
+        de.run(objective, 9, seeds, to_integers)
         assert objective.requested[:5] == seeds
         requested = objective.requested[5:]
-        assert len(proposed) == 5 * params.generations
+        assert len(proposed) == 5 * de.GENERATIONS
         assert requested == [tuple(float(round(x)) for x in p) for p in proposed]
 
     def test_generations_view_mirrors_best_per_generation(self):
         # The benchmark's tracer reads the returned list through this view.
-        _, per_generation = de.run(sphere, DeParams(rng_seed=3), random_start(3))
+        _, per_generation = de.run(sphere, 3, random_start(3))
         generations = per_generation.generations
         assert [g.best_fitness for g in generations] == per_generation
         assert all(g.calls == () and g.mutations == () for g in generations)

@@ -12,12 +12,9 @@ from blockmatch.estimator import (
     EvaluationRecord,
     HistoryStore,
     Rule,
-    StrategyParams,
     classify,
     fitness_of,
 )
-
-D = StrategyParams()
 
 
 def store_of(*entries):
@@ -30,11 +27,7 @@ def store_of(*entries):
 
 class TestParams:
     def test_default_threshold(self):
-        assert D.d == 2.5
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            StrategyParams(d=0.0)
+        assert estimator.D == 2.5
 
 
 class TestRecord:
@@ -104,41 +97,41 @@ class TestBestTracking:
 
 class TestClassify:
     def test_empty_store_is_unexplored(self):
-        assert classify(HistoryStore(), (3.0, 3.0), D) is Rule.UNEXPLORED
+        assert classify(HistoryStore(), (3.0, 3.0)) is Rule.UNEXPLORED
 
     def test_far_from_everything_is_unexplored(self):
         store = store_of(((0.0, 0.0), 50.0))
-        assert classify(store, (3.0, 3.0), D) is Rule.UNEXPLORED
+        assert classify(store, (3.0, 3.0)) is Rule.UNEXPLORED
 
     def test_near_best_is_evaluated(self):
         store = store_of(((5.0, 4.0), 10.0), ((0.0, 0.0), 90.0))
-        assert classify(store, (6.0, 4.0), D) is Rule.NEAR_BEST
+        assert classify(store, (6.0, 4.0)) is Rule.NEAR_BEST
 
     def test_near_non_best_is_copied(self):
         # nearest is (6,0) at distance 1.0, the best is (0,0) far away
         store = store_of(((0.0, 0.0), 50.0), ((6.0, 0.0), 80.0))
         hit = store.nearest((6.0, 1.0))
         assert hit.record.position == (6.0, 0.0) and hit.index != store.best_index
-        assert classify(store, (6.0, 1.0), D) is Rule.NEIGHBOR_COPY
+        assert classify(store, (6.0, 1.0)) is Rule.NEIGHBOR_COPY
 
     def test_best_among_equidistant_nearest_is_evaluated(self):
         # nearest() names the earlier, non-best record; the best record is
         # just as near, so the position is worth refining
         store = store_of(((1.0, 0.0), 5.0), ((-1.0, 0.0), 3.0))
         assert store.nearest((0.0, 0.0)).index != store.best_index
-        assert classify(store, (0.0, 0.0), D) is Rule.NEAR_BEST
-        assert classify(store, (2.0, 0.0), D) is Rule.NEIGHBOR_COPY
+        assert classify(store, (0.0, 0.0)) is Rule.NEAR_BEST
+        assert classify(store, (2.0, 0.0)) is Rule.NEIGHBOR_COPY
 
     def test_evaluated_zero_best_is_not_refined(self):
         store = store_of(((0.0, 0.0), 0.0), ((6.0, 0.0), 80.0))
-        assert classify(store, (1.0, 0.0), D) is Rule.NEIGHBOR_COPY
-        assert classify(store, (0.0, 0.0), D) is Rule.NEIGHBOR_COPY
-        assert classify(store, (0.0, 5.0), D) is Rule.UNEXPLORED
+        assert classify(store, (1.0, 0.0)) is Rule.NEIGHBOR_COPY
+        assert classify(store, (0.0, 0.0)) is Rule.NEIGHBOR_COPY
+        assert classify(store, (0.0, 5.0)) is Rule.UNEXPLORED
 
     def test_estimated_zero_best_is_still_refined(self):
         store = store_of(((0.0, 0.0), 40.0))
         store.append(EvaluationRecord((2.0, 0.0), 0.0, ESTIMATED))
-        assert classify(store, (3.0, 0.0), D) is Rule.NEAR_BEST
+        assert classify(store, (3.0, 0.0)) is Rule.NEAR_BEST
 
     def test_given_hit_decides_like_own_scan(self):
         rng = random.Random(6)
@@ -146,19 +139,19 @@ class TestClassify:
         for _ in range(40):
             position = (rng.uniform(-7, 7), rng.uniform(-7, 7))
             hit = store.nearest(position)
-            assert classify(store, position, D, hit) is classify(store, position, D)
-            fitness_of(store, position, D, lambda p: float(rng.randrange(1000)))
+            assert classify(store, position, hit) is classify(store, position)
+            fitness_of(store, position, lambda p: float(rng.randrange(1000)))
 
     def test_threshold_distance_is_inclusive(self):
         store = store_of(((0.0, 0.0), 50.0))
-        assert classify(store, (2.5, 0.0), D) is Rule.NEAR_BEST
-        assert classify(store, (2.5 + 1e-9, 0.0), D) is Rule.UNEXPLORED
+        assert classify(store, (2.5, 0.0)) is Rule.NEAR_BEST
+        assert classify(store, (2.5 + 1e-9, 0.0)) is Rule.UNEXPLORED
 
     def test_pure_function_of_store_contents(self):
         store = store_of(((0.0, 0.0), 50.0), ((6.0, 0.0), 80.0))
-        rule = classify(store, (6.0, 1.0), D)
+        rule = classify(store, (6.0, 1.0))
         for _ in range(5):
-            assert classify(store, (6.0, 1.0), D) is rule
+            assert classify(store, (6.0, 1.0)) is rule
 
 
 class TestFitnessOf:
@@ -177,13 +170,13 @@ class TestFitnessOf:
         store = HistoryStore()
         for _ in range(40):
             position = (rng.uniform(-7, 7), rng.uniform(-7, 7))
-            fitness_of(store, position, D, lambda p: float(rng.randrange(1000)))
+            fitness_of(store, position, lambda p: float(rng.randrange(1000)))
         assert len(scans) == len(rules) == 40
         assert Rule.NEIGHBOR_COPY in rules
 
     def test_empty_store_evaluates(self):
         store = HistoryStore()
-        value = fitness_of(store, (0.0, 0.0), D, lambda p: 1234.0)
+        value = fitness_of(store, (0.0, 0.0), lambda p: 1234.0)
         kind = store.records[-1].kind
         assert (value, kind) == (1234.0, EVALUATED)
         assert len(store) == 1
@@ -191,7 +184,7 @@ class TestFitnessOf:
     def test_near_best_invokes_objective_once(self):
         store = store_of(((2.0, 2.0), 500.0))
         calls = []
-        fitness_of(store, (2.0, 3.0), D, lambda p: calls.append(p) or 321.0)
+        fitness_of(store, (2.0, 3.0), lambda p: calls.append(p) or 321.0)
         assert store.records[-1].kind == EVALUATED
         assert len(calls) == 1
 
@@ -199,7 +192,7 @@ class TestFitnessOf:
         store = store_of(((0.0, 0.0), 50.0), ((6.0, 0.0), 80.0))
         calls = []
         value = fitness_of(
-            store, (6.0, 1.0), D, lambda p: calls.append(p) or 0.0
+            store, (6.0, 1.0), lambda p: calls.append(p) or 0.0
         )
         kind = store.records[-1].kind
         assert (value, kind) == (80.0, ESTIMATED)
@@ -209,12 +202,12 @@ class TestFitnessOf:
     def test_duplicate_of_best_re_evaluates(self):
         store = store_of(((1.0, 1.0), 10.0), ((5.0, 5.0), 20.0))
         calls = []
-        fitness_of(store, (1.0, 1.0), D, lambda p: calls.append(p) or 10.0)
+        fitness_of(store, (1.0, 1.0), lambda p: calls.append(p) or 10.0)
         assert store.records[-1].kind == EVALUATED and len(calls) == 1
 
     def test_duplicate_of_non_best_copies(self):
         store = store_of(((0.0, 0.0), 10.0), ((6.0, 6.0), 20.0))
-        value = fitness_of(store, (6.0, 6.0), D, lambda p: 0.0)
+        value = fitness_of(store, (6.0, 6.0), lambda p: 0.0)
         kind = store.records[-1].kind
         assert (value, kind) == (20.0, ESTIMATED)
 
@@ -225,14 +218,14 @@ class TestFitnessOf:
             raise RuntimeError("cost unavailable")
 
         with pytest.raises(RuntimeError):
-            fitness_of(store, (2.0, 3.0), D, broken)
+            fitness_of(store, (2.0, 3.0), broken)
         assert len(store) == 1
 
     def test_estimates_can_chain(self):
         # an estimated record may later serve as a copy source itself
         store = store_of(((0.0, 0.0), 10.0), ((6.0, 0.0), 30.0))
-        fitness_of(store, (6.0, 1.0), D, lambda p: 0.0)  # copied 30
-        value = fitness_of(store, (6.0, 2.0), D, lambda p: 0.0)
+        fitness_of(store, (6.0, 1.0), lambda p: 0.0)  # copied 30
+        value = fitness_of(store, (6.0, 2.0), lambda p: 0.0)
         kind = store.records[-1].kind
         assert (value, kind) == (30.0, ESTIMATED)
 
@@ -250,7 +243,7 @@ class TestAccountingProperties:
 
             for _ in range(40):
                 position = (rng.uniform(-7, 7), rng.uniform(-7, 7))
-                fitness_of(store, position, D, objective)
+                fitness_of(store, position, objective)
             evaluated = sum(1 for r in store.records if r.kind == EVALUATED)
             assert calls[0] == evaluated
             assert len(store) == 40
@@ -262,7 +255,7 @@ class TestAccountingProperties:
             for _ in range(40):
                 position = (rng.uniform(-7, 7), rng.uniform(-7, 7))
                 value = fitness_of(
-                    store, position, D, lambda p: float(rng.randrange(1000))
+                    store, position, lambda p: float(rng.randrange(1000))
                 )
                 kind = store.records[-1].kind
                 if kind == ESTIMATED:
@@ -270,6 +263,6 @@ class TestAccountingProperties:
                         r
                         for r in store.records[:-1]
                         if r.fitness == value
-                        and math.dist(r.position, position) <= D.d
+                        and math.dist(r.position, position) <= estimator.D
                     ]
                     assert sources

@@ -1,13 +1,14 @@
 """Unit tests for frame geometry, SAD, the exhaustive search and the
 differential-evolution search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blockmatch import motion
-from blockmatch.de import DeParams
+from blockmatch import de, estimator, motion
 from blockmatch.estimator import ESTIMATED, EVALUATED
 from blockmatch.motion import (
     ALGORITHMS,
@@ -253,14 +254,14 @@ class TestDebmFrame:
         rng = np.random.default_rng(25)
         current = random_frame(rng, 40, 56)
         previous = random_frame(rng, 40, 56)
-        config = SearchConfig(w=4, n=8, de=DeParams(rng_seed=9))
+        config = SearchConfig(w=4, n=8, rng_seed=9)
         blocks = partition(current, config.n)
         calls = []
         search = motion._debm_search
 
-        def counting(cur, windows, block, seeded, probe=None):
-            calls.append((block, seeded.de.rng_seed))
-            return search(cur, windows, block, seeded, probe)
+        def counting(cur, windows, block, w, rng_seed, probe=None):
+            calls.append((block, rng_seed))
+            return search(cur, windows, block, w, rng_seed, probe)
 
         monkeypatch.setattr(motion, "_debm_search", counting)
         _, results = estimate_frame(current, previous, config, "debm")
@@ -271,6 +272,23 @@ class TestDebmFrame:
             search_block("debm", current, previous, block, config, index)
             for index, block in enumerate(blocks)
         ]
+
+    def test_every_request_goes_through_module_dispatch(self, monkeypatch):
+        # The benchmark's dispatch hook replaces `fitness_of` on the
+        # estimator module; a debm search must send every request through it.
+        rng = np.random.default_rng(26)
+        previous, current = rolled_pair(rng, 64, 64, 2, -1)
+        calls = []
+        dispatch = estimator.fitness_of
+
+        def counting(store, position, objective):
+            calls.append(position)
+            return dispatch(store, position, objective)
+
+        monkeypatch.setattr(estimator, "fitness_of", counting)
+        block = BlockRef(16, 16, 16)
+        result = search_block("debm", current, previous, block, SearchConfig(), 0)
+        assert len(calls) == result.evaluations + result.estimations == 40
 
 
 class TestInitialPattern:
@@ -355,9 +373,9 @@ class TestDebmSearch:
         search_block(
             "debm", current, previous, BlockRef(16, 16, 16), self.CONFIG, 0, probe
         )
-        first_five = probe.records[:5]
-        assert [r.kind for r in first_five] == [EVALUATED] * 5
-        assert [r.position for r in first_five] == initial_pattern(7)
+        first_five = probe.visits[:5]
+        assert [visit.kind for visit in first_five] == [EVALUATED] * 5
+        assert [(visit.u, visit.v) for visit in first_five] == initial_pattern(7)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(13)
@@ -366,7 +384,7 @@ class TestDebmSearch:
 
         def search(seed):
             probe = SearchProbe()
-            config = SearchConfig(de=DeParams(rng_seed=seed))
+            config = SearchConfig(rng_seed=seed)
             result = search_block("debm", current, previous, block, config, 0, probe)
             return result, probe.visits
 
@@ -408,11 +426,14 @@ class TestDebmSearch:
             result = search_block(
                 "debm", current, previous, block, self.CONFIG, index, probe
             )
-            evaluated = [r for r in probe.records if r.kind == EVALUATED]
-            lowest = min(r.fitness for r in evaluated)
-            assert result.sad == lowest
-            first = next(r for r in evaluated if r.fitness == lowest)
-            assert result.mv == tuple(first.position)
+            # each evaluated cell's cost recomputed as its true SAD; min
+            # keeps the earliest of equal costs
+            costs = [
+                (sad(current, previous, block, (visit.u, visit.v)), (visit.u, visit.v))
+                for visit in probe.visits
+                if visit.kind == EVALUATED
+            ]
+            assert min(costs, key=lambda c: c[0]) == (result.sad, result.mv)
 
     def test_known_costs_are_not_evaluated_again(self):
         # Interior blocks have five distinct pattern cells, a trial on the
@@ -446,12 +467,11 @@ class TestDebmSearch:
         result = search_block(
             "debm", current, previous, BlockRef(32, 32, 16), self.CONFIG, 0, probe
         )
-        assert len(probe.records) == result.evaluations + result.estimations
-        evaluated = sum(1 for r in probe.records if r.kind == EVALUATED)
-        estimated = sum(1 for r in probe.records if r.kind == ESTIMATED)
+        assert len(probe.visits) == result.evaluations + result.estimations
+        evaluated = sum(1 for visit in probe.visits if visit.kind == EVALUATED)
+        estimated = sum(1 for visit in probe.visits if visit.kind == ESTIMATED)
         assert evaluated == result.evaluations
         assert estimated == result.estimations
-        assert len(probe.visits) == len(probe.records)
         fits = probe.best_per_generation
         assert all(b <= a for a, b in zip(fits, fits[1:]))
 
@@ -468,7 +488,7 @@ class TestEstimateFrame:
     def test_debm_deterministic_across_runs(self):
         rng = np.random.default_rng(21)
         previous, current = rolled_pair(rng, 144, 176, 3, -2)
-        config = SearchConfig(de=DeParams(rng_seed=77))
+        config = SearchConfig(rng_seed=77)
         field_a, results_a = estimate_frame(current, previous, config, "debm")
         field_b, results_b = estimate_frame(current, previous, config, "debm")
         assert np.array_equal(field_a, field_b)
@@ -481,7 +501,7 @@ class TestEstimateFrame:
         rng = np.random.default_rng(22)
         previous = np.tile(random_frame(rng, 16, 16), (4, 8))
         current = np.roll(previous, shift=(-1, -2), axis=(0, 1))
-        config = SearchConfig(de=DeParams(rng_seed=0))
+        config = SearchConfig(rng_seed=0)
         _, results = estimate_frame(current, previous, config, "debm")
         height, width = current.shape
         outcomes = {
@@ -524,7 +544,7 @@ def search_cases(draw):
     config = SearchConfig(
         w=draw(st.integers(1, 5)),
         n=n,
-        de=DeParams(rng_seed=draw(st.integers(0, 2**16))),
+        rng_seed=draw(st.integers(0, 2**16)),
     )
     index = draw(st.integers(0, (height // n) * (width // n) - 1))
     return current, previous, config, index
@@ -554,13 +574,19 @@ class TestSearchBlock:
             if algorithm == "debm":
                 best = probe.best_per_generation
                 assert len(probe.visits) == result.evaluations + result.estimations
-                assert len(best) == config.de.generations + 1
+                assert len(best) == de.GENERATIONS + 1
                 assert all(b <= a for a, b in zip(best, best[1:]))
-                # A copy never undercuts the store's best, so the earliest
+                # A copy repeats an earlier record's value, so the earliest
                 # lowest record is a computed cost and is what is reported.
-                low = min(probe.records, key=lambda r: r.fitness)
-                assert low.kind == EVALUATED
-                assert (low.position, low.fitness) == (result.mv, result.sad)
+                low = min(
+                    (
+                        (sad(current, previous, block, (visit.u, visit.v)), (visit.u, visit.v))
+                        for visit in probe.visits
+                        if visit.kind == EVALUATED
+                    ),
+                    key=lambda c: c[0],
+                )
+                assert low == (result.sad, result.mv)
             else:
                 # fsa, tss and ds never evaluate a cell twice
                 cells = {(visit.u, visit.v) for visit in probe.visits}
@@ -570,17 +596,17 @@ class TestSearchBlock:
         rng = np.random.default_rng(24)
         previous, current = rolled_pair(rng, 48, 48, 2, 1)
         block = BlockRef(16, 16, 16)
-        config = SearchConfig(de=DeParams(rng_seed=40))
-        seeded = SearchConfig(de=DeParams(rng_seed=40 ^ 4))
+        config = SearchConfig(rng_seed=40)
+        seeded = SearchConfig(rng_seed=40 ^ 4)
         probe = SearchProbe()
         result = search_block("debm", current, previous, block, config, 4, probe)
         # The oracle is a plain run at seed 40 ^ 4, outside the derivation;
         # block 0 keeps rng_seed unchanged.
         wide = _widen(current, previous, 16)
-        assert result == _debm_search(*wide, block, seeded)
+        assert result == _debm_search(*wide, block, 7, 40 ^ 4)
         assert search_block(
             "debm", current, previous, block, seeded, 0
-        ) == _debm_search(*wide, block, seeded)
+        ) == _debm_search(*wide, block, 7, 40 ^ 4)
         assert len(probe.best_per_generation) == 8 and len(probe.visits) == 40
 
     def test_unknown_algorithm_rejected(self):
@@ -654,14 +680,12 @@ class TestCompensate:
 
 class TestConfigDefaults:
     def test_reference_parameter_snapshot(self):
+        # w, n and the seed are the only settings; DE-BM's parameters are
+        # the constants checked in test_de
         config = SearchConfig()
-        assert config.n == 16
-        assert config.w == 7
-        assert config.de.f == 0.25
-        assert config.de.cr == 0.8
+        assert dataclasses.astuple(config) == (7, 16, 0)
+        assert [f.name for f in dataclasses.fields(config)] == ["w", "n", "rng_seed"]
         assert len(initial_pattern(config.w)) == 5  # one individual per point
-        assert config.de.generations == 7
-        assert config.strategy.d == 2.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
