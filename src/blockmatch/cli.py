@@ -154,18 +154,23 @@ def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
 
 
 def load_frames(args) -> list[np.ndarray]:
+    """Every frame of the input; fewer than two leave no pair to predict."""
     fmt = _resolve_format(args)
     if fmt == "synth":
         kind, params = _parse_synth_spec(args.input, args)
-        return list(synth_sequence(kind, params))
-    source = SequenceSource(
-        format=fmt,
-        path=args.input,
-        width=args.width,
-        height=args.height,
-        frame_count=args.frames,
-    )
-    return list(open_sequence(source))
+        frames = list(synth_sequence(kind, params))
+    else:
+        source = SequenceSource(
+            format=fmt,
+            path=args.input,
+            width=args.width,
+            height=args.height,
+            frame_count=args.frames,
+        )
+        frames = list(open_sequence(source))
+    if len(frames) < 2:
+        raise ValueError(f"need at least two frames, got {len(frames)}")
+    return frames
 
 
 def build_config(args) -> SearchConfig:
@@ -190,26 +195,20 @@ def input_identity(frames: list[np.ndarray], config: SearchConfig) -> dict:
 
 def run_sequence(
     frames: list[np.ndarray], config: SearchConfig, algorithm: str
-) -> tuple[SequenceReport, list[BlockRef], list[tuple[int, list]]]:
+) -> tuple[SequenceReport, list[FrameOutcome]]:
     """Estimate, compensate and score every consecutive frame pair.
 
-    Returns the aggregated report, the block grid, and the per-frame
-    block results keyed by predicted-frame index (for MV dumps).
+    Returns the aggregated report and one FrameOutcome per predicted frame
+    t = 1..len(frames)-1, whose block results follow partition(frames[0], n).
     """
-    if len(frames) < 2:
-        raise ValueError(f"need at least two frames, got {len(frames)}")
-    blocks = partition(frames[0], config.n)
     outcomes = []
-    dump_entries = []
     for t in range(1, len(frames)):
         mv_field, results = estimate_frame(
             frames[t], frames[t - 1], config, algorithm
         )
         predicted = compensate(frames[t - 1], mv_field, config.n)
         outcomes.append(FrameOutcome(t, mse(frames[t], predicted), results))
-        dump_entries.append((t, results))
-    report = aggregate(algorithm, outcomes, input_identity(frames, config))
-    return report, blocks, dump_entries
+    return aggregate(algorithm, outcomes, input_identity(frames, config)), outcomes
 
 
 def _fmt_db(value: float) -> str:
@@ -224,12 +223,13 @@ def _fmt_db(value: float) -> str:
 def cmd_run(args, written: list[str]) -> str:
     frames = load_frames(args)
     config = build_config(args)
-    report, blocks, dump_entries = run_sequence(frames, config, args.algo)
+    report, outcomes = run_sequence(frames, config, args.algo)
+    blocks = partition(frames[0], config.n)
     if args.out:
         write_report(report, args.out)
         written.append(args.out)
     if args.mv_dump:
-        write_mv_dump(args.mv_dump, blocks, dump_entries)
+        write_mv_dump(args.mv_dump, blocks, outcomes)
         written.append(args.mv_dump)
     extra = (
         f" exact_frames={report.infinite_psnr_frames}"
@@ -278,14 +278,11 @@ def cmd_compare(args, written: list[str]) -> str:
             )
             raise ValueError(f"--reference was computed on another input: {differ}")
     else:
-        reference, _, _ = run_sequence(frames, config, "fsa")
+        reference = run_sequence(frames, config, "fsa")[0]
 
-    cache: dict[str, SequenceReport] = {"fsa": reference}
     rows = []
     for algo in algos:
-        if algo not in cache:
-            cache[algo], _, _ = run_sequence(frames, config, algo)
-        report = cache[algo]
+        report = reference if algo == "fsa" else run_sequence(frames, config, algo)[0]
         rows.append(
             {
                 "algorithm": algo,

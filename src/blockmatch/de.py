@@ -68,8 +68,10 @@ def mutate_best_1(
 ) -> Position:
     """Donor = best + F * (partner1 - partner2), partners drawn per target.
 
-    The donor may leave the search bounds; positions are only clamped when
-    they are converted for fitness evaluation, never here.
+    The donor may leave the search bounds and is not clamped here. The
+    caller's `repair` hook of `run` projects each trial before its fitness
+    is requested; DE-BM's, in `motion._debm_search`, rounds and clamps it
+    onto the valid lattice with `_clamped_cell`.
     """
     r1, r2 = pick_partners(rng, len(population), target_index)
     return donor_vector(

@@ -22,13 +22,14 @@ PEAK = 255.0
 @dataclass
 class FrameScore:
     """Quality and per-block search effort for one predicted frame.
-    psnr is math.inf when the prediction is exact (mse 0)."""
+    psnr_db is math.inf when the prediction is exact (mse 0). The field
+    names are the report's per-frame JSON keys and CSV columns."""
 
     frame_index: int
-    psnr: float
+    psnr_db: float
     mse: float
-    avg_evaluations: float
-    avg_estimations: float
+    avg_eval: float
+    avg_est: float
 
 
 @dataclass
@@ -43,6 +44,8 @@ class FrameOutcome:
 
 @dataclass
 class SequenceReport:
+    """Field names are the JSON report's keys, see video_io.write_report."""
+
     algorithm: str
     input: dict  # what the report was computed from, see cli.input_identity
     mean_psnr: float
@@ -105,7 +108,7 @@ def aggregate(
     if not outcomes:
         raise ValueError("cannot aggregate an empty sequence")
     scores = [frame_score(o.frame_index, o.mse, o.results) for o in outcomes]
-    finite = [s.psnr for s in scores if math.isfinite(s.psnr)]
+    finite = [s.psnr_db for s in scores if math.isfinite(s.psnr_db)]
     mean_psnr = sum(finite) / len(finite) if finite else math.inf
     total_evaluations = sum(r.evaluations for o in outcomes for r in o.results)
     total_blocks = sum(len(o.results) for o in outcomes)

@@ -10,14 +10,14 @@ run never leaves a half-written artifact; OS errors carry the target path.
 import glob
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .metrics import FrameScore, SequenceReport
-from .motion import BlockRef, BlockResult
+from .metrics import FrameOutcome, FrameScore, SequenceReport
+from .motion import BlockRef
 
 FORMATS = ("y4m", "yuv420", "pgm")
 SYNTH_KINDS = ("static", "translate", "random_texture_translate")
@@ -243,8 +243,7 @@ def write_pgm(frame: np.ndarray, path: str) -> None:
 @dataclass(frozen=True)
 class SynthParams:
     """Geometry, per-frame motion (du, dv), length and seed of a synthetic
-    clip. max_shift bounds the allowed motion; smoothness is the blur
-    sigma applied to the random texture (0 keeps raw noise)."""
+    clip. max_shift bounds the allowed motion."""
 
     width: int = 176
     height: int = 144
@@ -253,7 +252,6 @@ class SynthParams:
     dv: int = 0
     seed: int = 0
     max_shift: int = 7
-    smoothness: float = 2.0
 
 
 def synth_sequence(kind: str, params: SynthParams) -> Iterator[np.ndarray]:
@@ -279,9 +277,7 @@ def synth_sequence(kind: str, params: SynthParams) -> Iterator[np.ndarray]:
     if kind == "translate":
         base = _wave_texture(params.width, params.height)
     else:
-        base = _noise_texture(
-            params.width, params.height, params.seed, params.smoothness
-        )
+        base = _noise_texture(params.width, params.height, params.seed)
     return _roll_frames(base, params, static=kind == "static")
 
 
@@ -297,11 +293,9 @@ def _roll_frames(
             frame = np.roll(frame, shift=(-params.dv, -params.du), axis=(0, 1))
 
 
-def _noise_texture(width: int, height: int, seed: int, sigma: float) -> np.ndarray:
+def _noise_texture(width: int, height: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    base = rng.standard_normal((height, width))
-    if sigma > 0:
-        base = _blur_wrap(base, sigma)
+    base = _blur_wrap(rng.standard_normal((height, width)), sigma=2.0)
     low, high = float(base.min()), float(base.max())
     if high == low:
         return np.full((height, width), 128, dtype=np.uint8)
@@ -347,7 +341,6 @@ def _wave_texture(width: int, height: int) -> np.ndarray:
 # Reports and dumps
 # ---------------------------------------------------------------------------
 
-REPORT_CSV_HEADER = "frame_index,psnr_db,mse,avg_eval,avg_est"
 MV_DUMP_HEADER = "frame,x,y,u,v,sad,evaluations,estimations"
 
 
@@ -370,39 +363,16 @@ def write_json(document: dict, path: str) -> None:
     _atomic_write_text(path, json.dumps(document, indent=2) + "\n")
 
 
-def report_to_dict(report: SequenceReport) -> dict:
-    return {
-        "algorithm": report.algorithm,
-        "input": report.input,
-        "mean_psnr": report.mean_psnr,
-        "mean_search_points": report.mean_search_points,
-        "infinite_psnr_frames": report.infinite_psnr_frames,
-        "per_frame": [
-            {
-                "frame_index": s.frame_index,
-                "psnr_db": s.psnr,
-                "mse": s.mse,
-                "avg_eval": s.avg_evaluations,
-                "avg_est": s.avg_estimations,
-            }
-            for s in report.per_frame
-        ],
-    }
-
-
 def write_report(report: SequenceReport, path: str) -> None:
     """Serialize a sequence report as CSV when the path ends in .csv (in
-    any case), as JSON otherwise."""
+    any case), as JSON otherwise. JSON keys are the SequenceReport and
+    FrameScore field names; CSV has one row of FrameScore fields a frame."""
     if str(path).lower().endswith(".csv"):
-        lines = [REPORT_CSV_HEADER]
-        lines += [
-            f"{s.frame_index},{s.psnr!r},{s.mse!r},"
-            f"{s.avg_evaluations!r},{s.avg_estimations!r}"
-            for s in report.per_frame
-        ]
+        lines = [",".join(f.name for f in fields(FrameScore))]
+        lines += [",".join(map(repr, astuple(s))) for s in report.per_frame]
         _atomic_write_text(path, "\n".join(lines) + "\n")
     else:
-        write_json(report_to_dict(report), path)
+        write_json(asdict(report), path)
 
 
 def read_report(path: str) -> SequenceReport:
@@ -422,10 +392,10 @@ def read_report(path: str) -> SequenceReport:
                 per_frame=[
                     FrameScore(
                         frame_index=int(s["frame_index"]),
-                        psnr=float(s["psnr_db"]),
+                        psnr_db=float(s["psnr_db"]),
                         mse=float(s["mse"]),
-                        avg_evaluations=float(s["avg_eval"]),
-                        avg_estimations=float(s["avg_est"]),
+                        avg_eval=float(s["avg_eval"]),
+                        avg_est=float(s["avg_est"]),
                     )
                     for s in data["per_frame"]
                 ],
@@ -437,17 +407,16 @@ def read_report(path: str) -> SequenceReport:
 
 
 def write_mv_dump(
-    path: str,
-    blocks: Sequence[BlockRef],
-    per_frame: Sequence[tuple[int, Sequence[BlockResult]]],
+    path: str, blocks: Sequence[BlockRef], outcomes: Sequence[FrameOutcome]
 ) -> None:
-    """One CSV row per (frame, block): anchor, motion vector, cost and the
-    evaluation/estimation tallies."""
+    """One CSV row per (frame, block): the predicted frame's index, the
+    block anchor, motion vector, cost and evaluation/estimation tallies.
+    Each outcome's results follow the order of `blocks`."""
     lines = [MV_DUMP_HEADER]
-    for frame_index, results in per_frame:
-        for block, result in zip(blocks, results):
+    for outcome in outcomes:
+        for block, result in zip(blocks, outcome.results):
             lines.append(
-                f"{frame_index},{block.x},{block.y},{result.mv.u},{result.mv.v},"
+                f"{outcome.frame_index},{block.x},{block.y},{result.mv.u},{result.mv.v},"
                 f"{result.sad},{result.evaluations},{result.estimations}"
             )
     _atomic_write_text(path, "\n".join(lines) + "\n")

@@ -527,6 +527,29 @@ class TestArgumentSurface:
         assert status == 1
         assert "bad synthetic geometry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [0, 1])
+    @pytest.mark.parametrize("command", ["run", "compare", "trace"])
+    def test_clip_without_a_frame_pair_rejected(self, tmp_path, capsys, command, count):
+        header = b"YUV4MPEG2 W16 H16 F25:1 C420\n"
+        frame = b"FRAME\n" + bytes(16 * 16 * 3 // 2)
+        (tmp_path / "pair.y4m").write_bytes(header + frame * 2)
+        reference = tmp_path / "fsa.json"
+        assert run_cli("run", "--algo", "fsa", "--input", str(tmp_path / "pair.y4m"),
+                       "--out", str(reference)) == 0
+        clip = tmp_path / "clip.y4m"
+        clip.write_bytes(header + frame * count)
+        out = tmp_path / "out.json"
+        extra = {
+            "run": ["--algo", "fsa"],
+            "compare": ["--reference", str(reference)],
+            "trace": ["--algo", "fsa", "--trace-block", "0,0"],
+        }[command]
+        capsys.readouterr()
+        status = run_cli(command, "--input", str(clip), *extra, "--out", str(out))
+        assert status == 1
+        assert capsys.readouterr().err == f"error: need at least two frames, got {count}\n"
+        assert not out.exists()
+
     def test_runs_without_scipy(self):
         # scipy is a test-only dependency: the CLI, synthetic clips
         # included, must import and run with it blocked.

@@ -111,7 +111,7 @@ class TestAggregate:
         report = aggregate("fsa", [FrameOutcome(1, 100.0, [result(12)])], IDENTITY)
         assert report.input == IDENTITY
         assert report.mean_search_points == 12.0
-        assert report.per_frame[0].avg_evaluations == 12.0
+        assert report.per_frame[0].avg_eval == 12.0
 
     def test_full_window_reference_scale(self):
         # every interior block of an exhaustive run costs the full window

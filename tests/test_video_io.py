@@ -3,11 +3,12 @@
 import json
 import math
 import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from blockmatch.metrics import FrameScore, SequenceReport
+from blockmatch.metrics import FrameOutcome, FrameScore, SequenceReport
 from blockmatch.motion import BlockRef, BlockResult, MotionVector, SearchConfig
 from blockmatch.motion import estimate_frame, mv_bounds, partition
 from blockmatch.video_io import (
@@ -19,7 +20,6 @@ from blockmatch.video_io import (
     open_sequence,
     read_pgm,
     read_report,
-    report_to_dict,
     synth_sequence,
     write_mv_dump,
     write_pgm,
@@ -306,7 +306,7 @@ class TestReports:
     )
     def test_report_without_input_object_names_the_file(self, tmp_path, identity):
         # the earlier report format had d_psnr and no input
-        document = report_to_dict(sample_report())
+        document = asdict(sample_report())
         del document["input"]
         document["d_psnr"] = None
         if identity is not None:
@@ -315,6 +315,16 @@ class TestReports:
         path.write_text(json.dumps(document))
         with pytest.raises(FormatError, match=re.escape(f"{path} is not a JSON report")):
             read_report(str(path))
+
+    def test_file_keys_are_field_names(self, tmp_path):
+        names = [f.name for f in fields(FrameScore)]
+        json_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+        write_report(sample_report(), str(json_path))
+        write_report(sample_report(), str(csv_path))
+        document = json.loads(json_path.read_text())
+        assert list(document) == [f.name for f in fields(SequenceReport)]
+        assert [list(s) for s in document["per_frame"]] == [names, names]
+        assert csv_path.read_text().split("\n")[0] == ",".join(names)
 
     def test_csv_row_count(self, tmp_path):
         path = tmp_path / "report.csv"
@@ -356,7 +366,7 @@ class TestReports:
             BlockResult(MotionVector(0, 0), 0, 12, 28),
         ]
         path = tmp_path / "mv.csv"
-        write_mv_dump(str(path), blocks, [(1, results)])
+        write_mv_dump(str(path), blocks, [FrameOutcome(1, 0.0, results)])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "frame,x,y,u,v,sad,evaluations,estimations"
         assert lines[1] == "1,0,0,3,-2,120,14,26"
