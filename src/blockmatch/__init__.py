@@ -35,7 +35,6 @@ from .video_io import (
     TruncationError,
     open_sequence,
     read_pgm,
-    read_report,
     synth_sequence,
     write_mv_dump,
     write_pgm,

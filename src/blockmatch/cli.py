@@ -2,10 +2,11 @@
 
 Three subcommands: `run` estimates motion for every consecutive frame
 pair with one algorithm and reports coding quality and search effort,
-`compare` tabulates several algorithms against the exhaustive-search
-reference, and `trace` dumps the visited-cell pattern of a single block
-search. Human summaries go to stdout; machine artifacts are only written
-where --out/--mv-dump point.
+`compare` tabulates the algorithms named in --algo against a full search
+(fsa) that it always runs on the same input, and `trace` dumps the
+visited-cell pattern of a single block search. Human summaries go to
+stdout; machine artifacts are only written where --out/--mv-dump point,
+and neither may name the input or the other output.
 """
 
 import argparse
@@ -39,7 +40,6 @@ from .video_io import (
     SequenceSource,
     SynthParams,
     open_sequence,
-    read_report,
     synth_sequence,
     write_json,
     write_mv_dump,
@@ -86,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo",
         default="fsa,debm,tss,ds",
         help="comma-separated algorithm list (default: fsa,debm,tss,ds)",
-    )
-    cmp_p.add_argument(
-        "--reference", help="stored fsa JSON report to compare against"
     )
     cmp_p.add_argument("--out", help="comparison table JSON")
     cmp_p.set_defaults(handler=cmd_compare)
@@ -141,12 +138,15 @@ def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
             raise ValueError(
                 f"bad synthetic motion {motion!r}, expected 'du,dv'"
             ) from None
+    if max(abs(du), abs(dv)) > args.search_range:
+        raise ValueError(
+            f"motion ({du}, {dv}) exceeds the +-{args.search_range} search range"
+        )
     given = {"width": args.width, "height": args.height, "frames": args.frames}
     params = SynthParams(
         du=du,
         dv=dv,
         seed=args.seed,
-        max_shift=args.search_range,
         # unset flags take the SynthParams defaults; synth_sequence rejects 0
         **{name: value for name, value in given.items() if value is not None},
     )
@@ -184,7 +184,8 @@ def build_config(args) -> SearchConfig:
 
 def input_identity(frames: list[np.ndarray], config: SearchConfig) -> dict:
     """Frame size and count, block size, search range and a crc32 chained over
-    the decoded luma frames in order; it catches a wrong clip, not a forged report."""
+    the decoded luma frames in order: what a report was computed from. It is
+    recorded for the reader; the program does not check it."""
     crc = 0
     for frame in frames:
         crc = zlib.crc32(frame, crc)
@@ -244,8 +245,8 @@ def cmd_run(args, written: list[str]) -> str:
 
 
 def cmd_compare(args, written: list[str]) -> str:
-    """A --reference must be an fsa report whose `input` equals this input's
-    identity (see input_identity)."""
+    """Tabulate each search in --algo against one fsa run on the same input,
+    which is also the fsa row when --algo lists fsa."""
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
@@ -255,30 +256,9 @@ def cmd_compare(args, written: list[str]) -> str:
     repeated = sorted({a for a in algos if algos.count(a) > 1})
     if repeated:
         raise ValueError(f"algorithm(s) {repeated} requested more than once")
-    if args.reference is None and "fsa" not in algos:
-        raise ValueError(
-            "comparison needs 'fsa' in --algo or a stored --reference report"
-        )
     frames = load_frames(args)
     config = build_config(args)
-
-    if args.reference is not None:
-        reference = read_report(args.reference)
-        if reference.algorithm != "fsa":
-            raise ValueError(
-                f"--reference holds a {reference.algorithm!r} report, "
-                f"expected fsa"
-            )
-        identity, stored = input_identity(frames, config), reference.input
-        if stored != identity:
-            differ = ", ".join(
-                f"{key} {stored.get(key)} vs {identity.get(key)}"
-                for key in {**identity, **stored}
-                if stored.get(key) != identity.get(key)
-            )
-            raise ValueError(f"--reference was computed on another input: {differ}")
-    else:
-        reference = run_sequence(frames, config, "fsa")[0]
+    reference = run_sequence(frames, config, "fsa")[0]
 
     rows = []
     for algo in algos:
@@ -363,6 +343,21 @@ def cmd_trace(args, written: list[str]) -> str:
     )
 
 
+def _check_paths(args) -> None:
+    """Reject --out and --mv-dump naming the same file, or naming the input
+    when --input is a file (a synthetic spec or a PGM pattern is not)."""
+    named = {"--input": args.input if os.path.isfile(args.input) else None,
+             "--out": args.out,
+             "--mv-dump": getattr(args, "mv_dump", None)}
+    seen: dict[str, str] = {}
+    for flag, path in named.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"{flag} names the same file as {seen[real]}: {path}")
+            seen[real] = flag
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand, which lists each file it writes in `written`
     and returns its stdout summary. On any error the listed files are
@@ -370,6 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     written: list[str] = []
     try:
+        _check_paths(args)
         summary = args.handler(args, written)
     except Exception as exc:
         for path in written:

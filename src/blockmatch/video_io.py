@@ -243,7 +243,7 @@ def write_pgm(frame: np.ndarray, path: str) -> None:
 @dataclass(frozen=True)
 class SynthParams:
     """Geometry, per-frame motion (du, dv), length and seed of a synthetic
-    clip. max_shift bounds the allowed motion."""
+    clip."""
 
     width: int = 176
     height: int = 144
@@ -251,7 +251,6 @@ class SynthParams:
     du: int = 0
     dv: int = 0
     seed: int = 0
-    max_shift: int = 7
 
 
 def synth_sequence(kind: str, params: SynthParams) -> Iterator[np.ndarray]:
@@ -268,11 +267,6 @@ def synth_sequence(kind: str, params: SynthParams) -> Iterator[np.ndarray]:
         raise ValueError(
             f"bad synthetic geometry {params.width}x{params.height}"
             f"x{params.frames}"
-        )
-    if max(abs(params.du), abs(params.dv)) > params.max_shift:
-        raise ValueError(
-            f"motion ({params.du}, {params.dv}) exceeds the "
-            f"+-{params.max_shift} search range"
         )
     if kind == "translate":
         base = _wave_texture(params.width, params.height)
@@ -373,37 +367,6 @@ def write_report(report: SequenceReport, path: str) -> None:
         _atomic_write_text(path, "\n".join(lines) + "\n")
     else:
         write_json(asdict(report), path)
-
-
-def read_report(path: str) -> SequenceReport:
-    """Parse a JSON report back into a SequenceReport; a report without an
-    `input` object, such as one written before it was recorded, is rejected."""
-    with open(path) as stream:
-        try:
-            data = json.load(stream)
-            if not isinstance(data["input"], dict):
-                raise TypeError(f"'input' is {type(data['input']).__name__}, not an object")
-            return SequenceReport(
-                algorithm=data["algorithm"],
-                input=data["input"],
-                mean_psnr=float(data["mean_psnr"]),
-                mean_search_points=float(data["mean_search_points"]),
-                infinite_psnr_frames=int(data["infinite_psnr_frames"]),
-                per_frame=[
-                    FrameScore(
-                        frame_index=int(s["frame_index"]),
-                        psnr_db=float(s["psnr_db"]),
-                        mse=float(s["mse"]),
-                        avg_eval=float(s["avg_eval"]),
-                        avg_est=float(s["avg_est"]),
-                    )
-                    for s in data["per_frame"]
-                ],
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FormatError(
-                f"{path} is not a JSON report ({type(exc).__name__}: {exc})"
-            ) from None
 
 
 def write_mv_dump(

@@ -10,15 +10,10 @@ import numpy as np
 import pytest
 
 import blockmatch
+from blockmatch import cli
 from blockmatch.cli import main
 from blockmatch.motion import ALGORITHMS
-from blockmatch.video_io import (
-    SequenceSource,
-    SynthParams,
-    open_sequence,
-    synth_sequence,
-    write_pgm,
-)
+from blockmatch.video_io import SequenceSource, open_sequence, write_pgm
 
 
 def run_cli(*argv):
@@ -203,13 +198,8 @@ class TestRun:
 class TestCompare:
     def test_self_comparison_has_zero_degradation(self, tmp_path):
         clip = ("--format", "synth", "--input", "translate:2,1", "--frames", "3")
-        ref_path = tmp_path / "fsa.json"
-        assert run_cli("run", "--algo", "fsa", *clip, "--out", str(ref_path)) == 0
         out = tmp_path / "table.json"
-        status = run_cli(
-            "compare", "--algo", "fsa", *clip,
-            "--reference", str(ref_path), "--out", str(out),
-        )
+        status = run_cli("compare", "--algo", "fsa", *clip, "--out", str(out))
         assert status == 0
         rows = json.loads(out.read_text())["rows"]
         assert len(rows) == 1
@@ -222,89 +212,6 @@ class TestCompare:
         )
         assert status == 1
         assert "['fsa'] requested more than once" in capsys.readouterr().err
-
-    def test_reference_for_another_clip_rejected(self, tmp_path, capsys):
-        ref_path = tmp_path / "fsa.json"
-        status = run_cli(
-            "run", "--algo", "fsa", "--format", "synth", "--input", "random:1,1",
-            "--frames", "3", "--out", str(ref_path),
-        )
-        assert status == 0
-        status = run_cli(
-            "compare", "--algo", "tss", "--format", "synth", "--input",
-            "random:1,1", "--width", "64", "--height", "64", "--frames", "6",
-            "--reference", str(ref_path),
-        )
-        assert status == 1
-        assert "frames 3 vs 6" in capsys.readouterr().err
-
-    def test_reference_for_another_geometry_rejected(self, tmp_path, capsys):
-        ref_path, out = tmp_path / "fsa.json", tmp_path / "table.json"
-        status = run_cli(
-            "run", "--algo", "fsa", "--format", "synth", "--input", "random:1,1",
-            "--frames", "3", "--out", str(ref_path),
-        )
-        assert status == 0
-        stored = json.loads(ref_path.read_text())["input"]["crc32"]
-        small = ("--format", "synth", "--input", "random:2,2", "--frames", "3")
-        status = run_cli(
-            "compare", "--algo", "tss", *small, "--width", "64", "--height", "64",
-            "--reference", str(ref_path), "--out", str(out),
-        )
-        assert status == 1
-        assert "width 176 vs 64, height 144 vs 64" in capsys.readouterr().err
-        assert not out.exists()
-        # the same geometry with other content differs only in its digest
-        crc = 0
-        for frame in synth_sequence(
-            "random_texture_translate", SynthParams(du=2, dv=2, frames=3)
-        ):
-            crc = zlib.crc32(frame, crc)
-        status = run_cli(
-            "compare", "--algo", "tss", *small, "--reference", str(ref_path),
-            "--out", str(out),
-        )
-        assert status == 1
-        assert capsys.readouterr().err == (
-            "error: --reference was computed on another input: "
-            f"crc32 {stored} vs {crc:08x}\n"
-        )
-        assert not out.exists()
-
-    def test_reference_from_before_input_identity_rejected(self, tmp_path, capsys):
-        # the report format without `input`, which carried `d_psnr` instead
-        ref_path, out = tmp_path / "fsa.json", tmp_path / "table.json"
-        clip = ("--format", "synth", "--input", "translate:2,1", "--frames", "3")
-        assert run_cli("run", "--algo", "fsa", *clip, "--out", str(ref_path)) == 0
-        report = json.loads(ref_path.read_text())
-        del report["input"]
-        report["d_psnr"] = None
-        ref_path.write_text(json.dumps(report, indent=2) + "\n")
-        status = run_cli(
-            "compare", "--algo", "tss", *clip, "--reference", str(ref_path),
-            "--out", str(out),
-        )
-        assert status == 1
-        assert f"{ref_path} is not a JSON report" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "subcommand, name",
-        [("run", "fsa.csv"), ("compare", "table.json")],
-        ids=["csv-report", "compare-table"],
-    )
-    def test_non_report_reference_names_the_file(
-        self, tmp_path, capsys, subcommand, name
-    ):
-        # a CSV report is not JSON; a compare table is JSON but no report
-        ref_path = tmp_path / name
-        clip = ("--format", "synth", "--input", "static", "--frames", "3")
-        assert run_cli(subcommand, "--algo", "fsa", *clip, "--out", str(ref_path)) == 0
-        status = run_cli(
-            "compare", "--algo", "tss", *clip, "--reference", str(ref_path)
-        )
-        assert status == 1
-        assert f"{ref_path} is not a JSON report" in capsys.readouterr().err
 
     def test_full_table_ranks_are_a_permutation(self, tmp_path, capsys):
         out = tmp_path / "table.json"
@@ -331,62 +238,34 @@ class TestCompare:
         table = capsys.readouterr().out
         assert "algorithm" in table and "rank" in table
 
-    def test_reference_report_reused(self, tmp_path):
-        ref_path = tmp_path / "fsa.json"
-        status = run_cli(
-            "run",
-            "--algo", "fsa",
-            "--format", "synth",
-            "--input", "translate:2,1",
-            "--frames", "3",
-            "--out", str(ref_path),
-        )
-        assert status == 0
-        out = tmp_path / "table.json"
-        status = run_cli(
-            "compare",
-            "--algo", "tss,ds",
-            "--format", "synth",
-            "--input", "translate:2,1",
-            "--frames", "3",
-            "--reference", str(ref_path),
-            "--out", str(out),
-        )
-        assert status == 0
-        rows = json.loads(out.read_text())["rows"]
-        assert {row["algorithm"] for row in rows} == {"tss", "ds"}
+    def test_reference_runs_when_fsa_is_not_listed(self, tmp_path, monkeypatch):
+        calls = []
+        counted = cli.run_sequence
 
-    def test_missing_reference_is_config_error(self, capsys):
-        status = run_cli(
-            "compare",
-            "--algo", "tss,ds",
-            "--format", "synth",
-            "--input", "static",
-            "--frames", "3",
-        )
-        assert status == 1
-        assert "fsa" in capsys.readouterr().err
+        def counting(frames, config, algorithm):
+            calls.append(algorithm)
+            return counted(frames, config, algorithm)
 
-    def test_non_fsa_reference_rejected(self, tmp_path, capsys):
-        ref_path = tmp_path / "tss.json"
-        run_cli(
-            "run",
-            "--algo", "tss",
-            "--format", "synth",
-            "--input", "static",
-            "--frames", "3",
-            "--out", str(ref_path),
-        )
-        status = run_cli(
-            "compare",
-            "--algo", "ds",
-            "--format", "synth",
-            "--input", "static",
-            "--frames", "3",
-            "--reference", str(ref_path),
-        )
-        assert status == 1
-        assert "fsa" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "run_sequence", counting)
+        # large motion, so that tss and ds lose PSNR against the reference
+        clip = ("--format", "synth", "--input", "random:6,-5", "--frames", "3",
+                "--width", "64", "--height", "64", "--seed", "5")
+        tables = {}
+        for algos in ("fsa,tss,ds", "tss,ds"):
+            calls.clear()
+            out = tmp_path / f"{algos}.json"
+            assert run_cli("compare", "--algo", algos, *clip, "--out", str(out)) == 0
+            listed = algos.split(",")
+            assert sorted(calls) == sorted({"fsa", *listed})
+            assert len(calls) == len(listed) + ("fsa" not in listed)
+            rows = json.loads(out.read_text())["rows"]
+            assert [row["algorithm"] for row in rows] == listed
+            tables[algos] = {
+                row["algorithm"]: {k: v for k, v in row.items() if k != "rank"}
+                for row in rows
+            }
+        full = tables["fsa,tss,ds"]
+        assert tables["tss,ds"] == {"tss": full["tss"], "ds": full["ds"]}
 
 
 class TestTrace:
@@ -527,24 +406,63 @@ class TestArgumentSurface:
         assert status == 1
         assert "bad synthetic geometry" in capsys.readouterr().err
 
+    def test_motion_capped_by_search_range(self, capsys):
+        clip = ("--format", "synth", "--input", "translate:9,0", "--frames", "2")
+        assert run_cli("run", "--algo", "fsa", *clip) == 1
+        assert capsys.readouterr().err == (
+            "error: motion (9, 0) exceeds the +-7 search range\n"
+        )
+        assert run_cli("run", "--algo", "fsa", *clip, "--search-range", "9") == 0
+
+    @pytest.mark.parametrize(
+        "command, outputs, clash",
+        [
+            ("run", {"--out": "same.csv", "--mv-dump": "same.csv"},
+             ("--mv-dump", "--out")),
+            ("run", {"--out": "clip.y4m", "--mv-dump": "mv.csv"}, ("--out", "--input")),
+            ("run", {"--mv-dump": "clip.y4m"}, ("--mv-dump", "--input")),
+            ("compare", {"--out": "clip.y4m"}, ("--out", "--input")),
+            ("trace", {"--out": "clip.y4m"}, ("--out", "--input")),
+        ],
+        ids=["run-out-mv-dump", "run-out-input", "run-mv-dump-input",
+             "compare-out-input", "trace-out-input"],
+    )
+    def test_output_naming_the_input_or_another_output_rejected(
+        self, tmp_path, capsys, command, outputs, clash
+    ):
+        clip = tmp_path / "clip.y4m"
+        clip.write_bytes(
+            b"YUV4MPEG2 W16 H16 F25:1 C420\n" + (b"FRAME\n" + bytes(range(128)) * 3) * 2
+        )
+        before = clip.read_bytes()
+        extra = {
+            "run": ["--algo", "fsa"],
+            "compare": [],
+            "trace": ["--algo", "fsa", "--trace-block", "0,0"],
+        }[command]
+        named = [arg for flag, name in outputs.items() for arg in (flag, str(tmp_path / name))]
+        status = run_cli(command, "--input", str(clip), *extra, *named)
+        assert status == 1
+        path = tmp_path / outputs[clash[0]]
+        assert capsys.readouterr().err == (
+            f"error: {clash[0]} names the same file as {clash[1]}: {path}\n"
+        )
+        assert clip.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["clip.y4m"]
+
     @pytest.mark.parametrize("count", [0, 1])
     @pytest.mark.parametrize("command", ["run", "compare", "trace"])
     def test_clip_without_a_frame_pair_rejected(self, tmp_path, capsys, command, count):
         header = b"YUV4MPEG2 W16 H16 F25:1 C420\n"
         frame = b"FRAME\n" + bytes(16 * 16 * 3 // 2)
-        (tmp_path / "pair.y4m").write_bytes(header + frame * 2)
-        reference = tmp_path / "fsa.json"
-        assert run_cli("run", "--algo", "fsa", "--input", str(tmp_path / "pair.y4m"),
-                       "--out", str(reference)) == 0
         clip = tmp_path / "clip.y4m"
         clip.write_bytes(header + frame * count)
         out = tmp_path / "out.json"
         extra = {
             "run": ["--algo", "fsa"],
-            "compare": ["--reference", str(reference)],
+            "compare": [],
             "trace": ["--algo", "fsa", "--trace-block", "0,0"],
         }[command]
-        capsys.readouterr()
         status = run_cli(command, "--input", str(clip), *extra, "--out", str(out))
         assert status == 1
         assert capsys.readouterr().err == f"error: need at least two frames, got {count}\n"
