@@ -34,10 +34,8 @@ from .video_io import (
     SynthParams,
     TruncationError,
     open_sequence,
-    read_pgm,
     synth_sequence,
     write_mv_dump,
-    write_pgm,
     write_report,
 )
 

@@ -37,6 +37,7 @@ from .motion import (
     search_block,
 )
 from .video_io import (
+    FORMATS,
     SequenceSource,
     SynthParams,
     open_sequence,
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--format",
-        choices=("y4m", "yuv420", "pgm", "synth"),
+        choices=FORMATS + ("synth",),
         help="input format; inferred from the file suffix when omitted",
     )
     common.add_argument("--width", type=int, help="frame width (yuv420 and synth)")
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Input handling
 # ---------------------------------------------------------------------------
 
-_SUFFIX_FORMATS = {".y4m": "y4m", ".yuv": "yuv420", ".pgm": "pgm"}
+_SUFFIX_FORMATS = {".y4m": "y4m", ".yuv": "yuv420"}
 
 
 def _resolve_format(args) -> str:
@@ -118,8 +119,6 @@ def _resolve_format(args) -> str:
     suffix = os.path.splitext(args.input)[1].lower()
     if suffix in _SUFFIX_FORMATS:
         return _SUFFIX_FORMATS[suffix]
-    if "*" in args.input or "?" in args.input:
-        return "pgm"
     raise ValueError(
         f"cannot infer format from {args.input!r}; pass --format"
     )
@@ -345,7 +344,7 @@ def cmd_trace(args, written: list[str]) -> str:
 
 def _check_paths(args) -> None:
     """Reject --out and --mv-dump naming the same file, or naming the input
-    when --input is a file (a synthetic spec or a PGM pattern is not)."""
+    file (a synthetic spec names no file)."""
     named = {"--input": args.input if os.path.isfile(args.input) else None,
              "--out": args.out,
              "--mv-dump": getattr(args, "mv_dump", None)}

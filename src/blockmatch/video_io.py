@@ -1,13 +1,12 @@
 """Sequence ingestion, synthetic clips, and result persistence.
 
-Supported inputs: YUV4MPEG2 streams, headerless planar 4:2:0 YUV with
-explicit geometry, and binary PGM image sequences. Only the luminance
-plane is returned; 4:2:0 chroma is skipped and other subsamplings are
-rejected. All file writes go through a temp-file-and-rename so a crashed
-run never leaves a half-written artifact; OS errors carry the target path.
+Every input is one file: a YUV4MPEG2 stream or headerless planar 4:2:0
+YUV with explicit geometry. Only the luminance plane is returned; 4:2:0
+chroma is skipped and other subsamplings are rejected. All file writes go
+through a temp-file-and-rename so a crashed run never leaves a
+half-written artifact; OS errors carry the target path.
 """
 
-import glob
 import json
 import os
 from dataclasses import asdict, astuple, dataclass, fields
@@ -19,8 +18,8 @@ import numpy as np
 from .metrics import FrameOutcome, FrameScore, SequenceReport
 from .motion import BlockRef
 
-FORMATS = ("y4m", "yuv420", "pgm")
-SYNTH_KINDS = ("static", "translate", "random_texture_translate")
+FORMATS = ("y4m", "yuv420")
+SYNTH_KINDS = ("translate", "random_texture_translate")
 
 
 class FormatError(ValueError):
@@ -43,9 +42,9 @@ class TruncationError(FormatError):
 
 @dataclass(frozen=True)
 class SequenceSource:
-    """Locator for an on-disk sequence. yuv420 needs explicit geometry;
-    y4m reads it from the stream header and pgm from the first image.
-    frame_count, when set, caps how many frames are yielded."""
+    """Locator for a sequence file. yuv420 needs explicit geometry; y4m
+    reads it from the stream header. frame_count, when set, caps how many
+    frames are yielded."""
 
     format: str
     path: str
@@ -58,9 +57,6 @@ def open_sequence(source: SequenceSource) -> Iterator[np.ndarray]:
     """Yield the luminance plane of each frame as a uint8 array."""
     if source.format not in FORMATS:
         raise ValueError(f"unknown format {source.format!r}, expected {FORMATS}")
-    if source.format == "pgm":
-        paths = _pgm_paths(source.path)
-        return _iter_pgm(paths, source.frame_count)
     if not os.path.exists(source.path):
         raise FileNotFoundError(f"no such sequence: {source.path}")
     if source.format == "y4m":
@@ -155,86 +151,6 @@ def _read_frames(
         frames_read += 1
 
 
-def _pgm_paths(pattern: str) -> list[str]:
-    if glob.has_magic(pattern):
-        paths = sorted(glob.glob(pattern))
-    elif os.path.isdir(pattern):
-        paths = sorted(glob.glob(os.path.join(pattern, "*.pgm")))
-    else:
-        paths = [pattern] if os.path.exists(pattern) else []
-    if not paths:
-        raise FileNotFoundError(f"no PGM frames match {pattern!r}")
-    return paths
-
-
-def _iter_pgm(paths: list[str], limit: int | None) -> Iterator[np.ndarray]:
-    geometry = None
-    for frames_read, path in enumerate(paths):
-        if limit is not None and frames_read >= limit:
-            return
-        frame = read_pgm(path)
-        if geometry is None:
-            geometry = frame.shape
-        elif frame.shape != geometry:
-            raise FormatError(
-                f"{path} is {frame.shape[1]}x{frame.shape[0]} but the sequence "
-                f"started as {geometry[1]}x{geometry[0]}"
-            )
-        yield frame
-
-
-def read_pgm(path: str) -> np.ndarray:
-    """Read one binary (P5) PGM image with maxval 255."""
-    data = Path(path).read_bytes()
-    pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            byte = data[pos : pos + 1]
-            if byte == b"#":
-                newline = data.find(b"\n", pos)
-                if newline < 0:
-                    raise FormatError(f"unterminated comment in {path}", offset=pos)
-                pos = newline + 1
-            elif byte.isspace():
-                pos += 1
-            else:
-                break
-        if pos >= len(data):
-            raise FormatError(f"unexpected end of PGM header in {path}", offset=pos)
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        return data[start:pos]
-
-    magic = next_token()
-    if magic != b"P5":
-        raise FormatError(f"{path} is not binary PGM (magic {magic!r})", offset=0)
-    try:
-        width, height, maxval = (int(next_token()) for _ in range(3))
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError(f"bad PGM header field in {path}: {exc}", offset=pos)
-    if maxval != 255:
-        raise FormatError(f"{path} has maxval {maxval}, only 255 is supported")
-    if width < 1 or height < 1:
-        raise FormatError(f"{path} has bad geometry {width}x{height}")
-    pos += 1  # single whitespace byte separating header and raster
-    raster = data[pos : pos + width * height]
-    if len(raster) < width * height:
-        raise TruncationError(f"truncated raster in {path}", frames_read=0)
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
-
-
-def write_pgm(frame: np.ndarray, path: str) -> None:
-    """Write one uint8 frame as binary PGM (used to build fixtures)."""
-    height, width = frame.shape
-    header = f"P5\n{width} {height}\n255\n".encode()
-    _atomic_write_bytes(path, header + frame.astype(np.uint8).tobytes())
-
-
 # ---------------------------------------------------------------------------
 # Synthetic sequences
 # ---------------------------------------------------------------------------
@@ -259,7 +175,7 @@ def synth_sequence(kind: str, params: SynthParams) -> Iterator[np.ndarray]:
     translate and random_texture_translate roll the base texture by
     (du, dv) per frame with wrap-around, so every block whose displaced
     window stays inside the frame has true motion exactly (du, dv) with a
-    zero matching error. static repeats one texture unchanged.
+    zero matching error; du = dv = 0 repeats one texture unchanged.
     """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}, expected {SYNTH_KINDS}")
@@ -272,19 +188,16 @@ def synth_sequence(kind: str, params: SynthParams) -> Iterator[np.ndarray]:
         base = _wave_texture(params.width, params.height)
     else:
         base = _noise_texture(params.width, params.height, params.seed)
-    return _roll_frames(base, params, static=kind == "static")
+    return _roll_frames(base, params)
 
 
-def _roll_frames(
-    base: np.ndarray, params: SynthParams, static: bool
-) -> Iterator[np.ndarray]:
+def _roll_frames(base: np.ndarray, params: SynthParams) -> Iterator[np.ndarray]:
     frame = base
     for _ in range(params.frames):
         yield frame.copy()
-        if not static:
-            # Rolling by (-dv, -du) makes the current frame's content sit
-            # at (+du, +dv) in the frame before it.
-            frame = np.roll(frame, shift=(-params.dv, -params.du), axis=(0, 1))
+        # Rolling by (-dv, -du) makes the current frame's content sit at
+        # (+du, +dv) in the frame before it.
+        frame = np.roll(frame, shift=(-params.dv, -params.du), axis=(0, 1))
 
 
 def _noise_texture(width: int, height: int, seed: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import blockmatch
 from blockmatch import cli
 from blockmatch.cli import main
 from blockmatch.motion import ALGORITHMS
-from blockmatch.video_io import SequenceSource, open_sequence, write_pgm
+from blockmatch.video_io import SequenceSource, open_sequence
 
 
 def run_cli(*argv):
@@ -39,7 +39,7 @@ class TestRun:
             "run",
             "--algo", "fsa",
             "--format", "synth",
-            "--input", "static",
+            "--input", "random:0,0",
             "--frames", "10",
             "--out", str(report_path),
             "--mv-dump", str(dump_path),
@@ -100,24 +100,6 @@ class TestRun:
         lines = report_path.read_text().strip().split("\n")
         assert len(lines) == 1 + 2
 
-    def test_pgm_sequence_input_with_inferred_format(self, tmp_path):
-        rng = np.random.default_rng(0)
-        base = rng.integers(0, 256, (48, 64), dtype=np.uint8)
-        for index in range(3):
-            write_pgm(
-                np.roll(base, shift=(0, -index), axis=(0, 1)),
-                str(tmp_path / f"f{index}.pgm"),
-            )
-        report_path = tmp_path / "report.json"
-        status = run_cli(
-            "run",
-            "--algo", "fsa",
-            "--input", str(tmp_path / "*.pgm"),
-            "--out", str(report_path),
-        )
-        assert status == 0
-        assert json.loads(report_path.read_text())["infinite_psnr_frames"] == 0
-
     def test_failure_removes_partial_outputs(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         bad_dump = tmp_path / "missing" / "mv.csv"
@@ -125,7 +107,7 @@ class TestRun:
             "run",
             "--algo", "fsa",
             "--format", "synth",
-            "--input", "static",
+            "--input", "random:0,0",
             "--frames", "3",
             "--out", str(report_path),
             "--mv-dump", str(bad_dump),
@@ -159,11 +141,22 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_format_needs_flag(self, tmp_path, capsys):
-        data = tmp_path / "clip.bin"
-        data.write_bytes(b"\0" * 100)
-        status = run_cli("run", "--algo", "fsa", "--input", str(data))
-        assert status == 1
-        assert "--format" in capsys.readouterr().err
+        # neither a .pgm file nor a pattern is an input, and an --out that a
+        # pattern matches must stay untouched
+        (tmp_path / "clip.bin").write_bytes(b"\0" * 100)
+        for name in ("clip.pgm", "f0.pgm", "f1.pgm", "f2.pgm"):
+            (tmp_path / name).write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for name, out in (("clip.bin", "report.json"),
+                          ("clip.pgm", "report.json"),
+                          ("f*.pgm", "f2.pgm")):
+            status = run_cli(
+                "run", "--algo", "fsa", "--block-size", "4", "--search-range", "2",
+                "--input", str(tmp_path / name), "--out", str(tmp_path / out),
+            )
+            assert status == 1, name
+            assert "--format" in capsys.readouterr().err, name
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_input_identity_covers_decoded_luma(self, tmp_path):
         # the same luma planes as y4m and as raw 4:2:0 with other chroma
@@ -208,7 +201,7 @@ class TestCompare:
     def test_duplicate_algorithm_rejected(self, capsys):
         status = run_cli(
             "compare", "--algo", "fsa,fsa,tss",
-            "--format", "synth", "--input", "static", "--frames", "3",
+            "--format", "synth", "--input", "random:0,0", "--frames", "3",
         )
         assert status == 1
         assert "['fsa'] requested more than once" in capsys.readouterr().err
@@ -349,7 +342,7 @@ class TestTrace:
             "trace",
             "--algo", "fsa",
             "--format", "synth",
-            "--input", "static",
+            "--input", "random:0,0",
             "--frames", "2",
             "--trace-block", "17,48",
             "--out", str(tmp_path / "trace.json"),
@@ -364,7 +357,7 @@ class TestTrace:
             "trace",
             "--algo", "fsa",
             "--format", "synth",
-            "--input", "static",
+            "--input", "random:0,0",
             "--frames", "2",
             "--frame", "5",
             "--trace-block", "16,16",
@@ -378,6 +371,11 @@ class TestArgumentSurface:
     def test_unknown_algorithm_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             run_cli("run", "--algo", "bogus", "--input", "x")
+
+    def test_pgm_format_rejected_by_parser(self):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "--algo", "fsa", "--format", "pgm", "--input", "x")
+        assert exit_info.value.code == 2
 
     def test_bad_synth_motion_spec(self, capsys):
         status = run_cli(

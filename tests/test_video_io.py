@@ -17,10 +17,8 @@ from blockmatch.video_io import (
     SynthParams,
     TruncationError,
     open_sequence,
-    read_pgm,
     synth_sequence,
     write_mv_dump,
-    write_pgm,
     write_report,
 )
 
@@ -161,68 +159,10 @@ class TestRawYuv:
             open_sequence(source)
 
 
-class TestPgm:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        frame = rng.integers(0, 256, (16, 24), dtype=np.uint8)
-        path = tmp_path / "frame.pgm"
-        write_pgm(frame, str(path))
-        assert np.array_equal(read_pgm(str(path)), frame)
-
-    def test_comments_in_header(self, tmp_path):
-        path = tmp_path / "commented.pgm"
-        path.write_bytes(b"P5\n# a comment\n4 2\n# another\n255\n" + bytes(8))
-        assert read_pgm(str(path)).shape == (2, 4)
-
-    def test_wrong_magic(self, tmp_path):
-        path = tmp_path / "color.pgm"
-        path.write_bytes(b"P6\n4 2\n255\n" + bytes(24))
-        with pytest.raises(FormatError, match="binary PGM"):
-            read_pgm(str(path))
-
-    def test_wrong_maxval(self, tmp_path):
-        path = tmp_path / "deep.pgm"
-        path.write_bytes(b"P5\n4 2\n1023\n" + bytes(16))
-        with pytest.raises(FormatError, match="maxval"):
-            read_pgm(str(path))
-
-    def test_truncated_raster(self, tmp_path):
-        path = tmp_path / "short.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-        with pytest.raises(TruncationError):
-            read_pgm(str(path))
-
-    def test_sequence_glob_sorted(self, tmp_path):
-        rng = np.random.default_rng(1)
-        frames = [
-            rng.integers(0, 256, (16, 16), dtype=np.uint8) for _ in range(3)
-        ]
-        for index, frame in enumerate(frames):
-            write_pgm(frame, str(tmp_path / f"frame{index:03d}.pgm"))
-        source = SequenceSource("pgm", str(tmp_path / "*.pgm"))
-        loaded = list(open_sequence(source))
-        assert len(loaded) == 3
-        for saved, read in zip(frames, loaded):
-            assert np.array_equal(saved, read)
-
-    def test_directory_pattern(self, tmp_path):
-        write_pgm(np.zeros((8, 8), dtype=np.uint8), str(tmp_path / "only.pgm"))
-        assert len(list(open_sequence(SequenceSource("pgm", str(tmp_path))))) == 1
-
-    def test_geometry_mismatch_mid_sequence(self, tmp_path):
-        write_pgm(np.zeros((8, 8), dtype=np.uint8), str(tmp_path / "a.pgm"))
-        write_pgm(np.zeros((8, 16), dtype=np.uint8), str(tmp_path / "b.pgm"))
-        with pytest.raises(FormatError, match="16x8"):
-            list(open_sequence(SequenceSource("pgm", str(tmp_path / "*.pgm"))))
-
-    def test_no_matches(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            open_sequence(SequenceSource("pgm", str(tmp_path / "*.pgm")))
-
-
 class TestSynth:
     def test_static_frames_identical(self):
-        frames = list(synth_sequence("static", SynthParams(width=32, height=32, frames=4)))
+        params = SynthParams(width=32, height=32, frames=4, du=0, dv=0)
+        frames = list(synth_sequence("random_texture_translate", params))
         assert len(frames) == 4
         for frame in frames[1:]:
             assert np.array_equal(frame, frames[0])
