@@ -4,7 +4,8 @@ Both share the SAD cost, skip candidates outside the valid displacement
 region, cost a pattern step's unseen cells in one gather from the shared
 window view, cache every computed cost so a position is never evaluated
 twice, and report the same per-block accounting as the other algorithms.
-`motion.search_block` runs them by name, "tss" and "ds".
+`motion.search_block` runs them by name, "tss" and "ds". A SAD here
+is exactly the one `motion.sad` computes, summed the same way.
 """
 
 import numpy as np
@@ -30,7 +31,9 @@ class _CachedCost:
     """SAD with a per-search visited-position cache and validity guard.
     A call takes one pattern step's distinct valid cells, costs the unseen
     ones in one gather of their patches from the window view, visiting them
-    in order, and returns the step's SADs in order."""
+    in order, and returns the step's SADs in order. Each SAD is summed as
+    `motion._sad_wide` sums it: the uint16 view of |diff| in
+    `_sad_accumulator(n)`."""
 
     def __init__(self, cur, windows, block, w, probe):
         self.cur = cur
@@ -51,7 +54,7 @@ class _CachedCost:
             diff = self.windows[[y + v for _, v in fresh], [x + u for u, _ in fresh]]
             diff -= self.cur[y : y + n, x : x + n]
             np.abs(diff, out=diff)
-            sads = np.add.reduce(diff, axis=(1, 2), dtype=_sad_accumulator(n))
+            sads = np.add.reduce(diff.view(np.uint16), axis=(1, 2), dtype=_sad_accumulator(n))
             self.seen.update(zip(fresh, sads.tolist()))
             if self.probe is not None:
                 self.probe.visits.extend(CellVisit(u, v, EVALUATED) for u, v in fresh)
@@ -79,6 +82,8 @@ def _tss_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None
         (du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)
     )
     center = (0, 0)
+    # The origin goes first on its own: the first grid lists it fifth, so
+    # leaving it to that grid would reorder the visits a trace records.
     cost([center])
     step = (w + 1) // 2
     while step >= 1:
@@ -92,7 +97,6 @@ def _ds_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None 
     stays central, then one 5-point small diamond refines the result."""
     cost = _CachedCost(cur, windows, block, w, probe)
     center = (0, 0)
-    cost([center])
     while True:
         minimum = _scan_min(cost, center, _LARGE_DIAMOND)
         if minimum == center:

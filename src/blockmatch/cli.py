@@ -125,9 +125,13 @@ def _resolve_format(args) -> str:
 
 
 def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
-    kind, _, motion = spec.partition(":")
-    aliases = {"random": "random_texture_translate"}
-    kind = aliases.get(kind, kind)
+    label, _, motion = spec.partition(":")
+    kinds = {"translate": "translate", "random": "random_texture_translate"}
+    if label not in kinds:
+        raise ValueError(
+            f"unknown synthetic kind {label!r}, expected one of {', '.join(kinds)}"
+        )
+    kind = kinds[label]
     du = dv = 0
     if motion:
         try:

@@ -189,13 +189,34 @@ def _bounds(windows: np.ndarray, block: BlockRef, w: int) -> tuple[int, int, int
 # ---------------------------------------------------------------------------
 
 
+_UINT16_MAX = 2**16 - 1
+_INT32_MAX = 2**31 - 1
+
+
+def _sad_accumulator(n: int) -> type:
+    """Narrowest integer dtype that holds the SAD of an n x n block of
+    8-bit pixels: uint16 up to n = 16 (a 16x16 SAD is at most 65,280),
+    int32 up to n = 2901, int64 above.
+
+    Callers sum the uint16 view of an int16 |diff|: every |diff| is at
+    most 255, so its bits read the same unsigned, and for n <= 16 the
+    reduction then runs in its input dtype with no per-element cast."""
+    largest = n * n * 255
+    if largest <= _UINT16_MAX:
+        return np.uint16
+    return np.int32 if largest <= _INT32_MAX else np.int64
+
+
 def _sad_wide(
     cur: np.ndarray, windows: np.ndarray, block: BlockRef, u: int, v: int
 ) -> int:
-    # cur and windows come from _widen.
+    """SAD of one candidate; cur and windows come from _widen. The int16
+    |diff| is summed through its uint16 view in `_sad_accumulator(n)`,
+    the one way every search sums a SAD."""
     x, y, n = block
     diff = cur[y : y + n, x : x + n] - windows[y + v, x + u]
-    return int(np.abs(diff, out=diff).sum(dtype=np.int64))
+    np.abs(diff, out=diff)
+    return int(np.add.reduce(diff.view(np.uint16), None, _sad_accumulator(n)))
 
 
 def sad(
@@ -226,15 +247,6 @@ def sad(
 # ---------------------------------------------------------------------------
 
 
-_INT32_MAX = 2**31 - 1
-
-
-def _sad_accumulator(n: int) -> type:
-    """Narrowest integer dtype that holds the SAD of an n x n block of
-    8-bit pixels: int32 up to n = 2901, int64 above."""
-    return np.int32 if n * n * 255 <= _INT32_MAX else np.int64
-
-
 def _full_search(
     cur: np.ndarray,
     windows: np.ndarray,
@@ -253,7 +265,9 @@ def _full_search(
     (cols, (rows + n - 1)*cols, 1), reads every candidate of that pixel
     as one stretch of rows*cols cells. Differencing, `abs` and the
     reduction over the n*n pixels then loop n*n times over long runs
-    instead of rows*cols*n times over rows of n pixels.
+    instead of rows*cols*n times over rows of n pixels. The reduction
+    sums the uint16 view of |diff| in `_sad_accumulator(n)`: for n <= 16
+    that is uint16 itself, so no pixel is widened on the way.
     """
     x, y, n = block
     umin, umax, vmin, vmax = _bounds(windows, block, w)
@@ -275,7 +289,7 @@ def _full_search(
     )
     diff = runs - cur[y : y + n, x : x + n, None]
     np.abs(diff, out=diff)
-    sads = np.add.reduce(diff, axis=(0, 1), dtype=_sad_accumulator(n))
+    sads = np.add.reduce(diff.view(np.uint16), axis=(0, 1), dtype=_sad_accumulator(n))
     # sads[r*cols + u] is candidate (umin + u, vmin + r), so argmin scans
     # v-major then u: the first minimum has the smallest v and, within
     # it, the smallest u.
@@ -534,7 +548,12 @@ def estimate_frame(
 def compensate(previous: np.ndarray, mv_field: np.ndarray, n: int) -> np.ndarray:
     """Predict the current frame by copying each block from the previous
     frame at its motion-vector offset; remainder pixels outside the block
-    grid are copied through unchanged."""
+    grid are copied through unchanged.
+
+    Every block is gathered at once from the n x n window view of the
+    previous frame, at its anchor plus its vector. A vector that moves its
+    block outside the frame raises ValueError naming the first such block
+    in row-major order."""
     _require_frame(previous, "previous frame")
     height, width = previous.shape
     rows, cols = grid_shape(previous.shape, n)
@@ -543,16 +562,23 @@ def compensate(previous: np.ndarray, mv_field: np.ndarray, n: int) -> np.ndarray
             f"mv field shape {mv_field.shape} does not match the "
             f"{rows}x{cols} block grid"
         )
+    vectors = mv_field.astype(np.int64)
+    xs = np.arange(cols) * n + vectors[:, :, 0]
+    ys = np.arange(rows)[:, None] * n + vectors[:, :, 1]
+    outside = (xs < 0) | (xs > width - n) | (ys < 0) | (ys > height - n)
+    if outside.any():
+        row, col = np.argwhere(outside)[0]
+        u, v = vectors[row, col]
+        raise ValueError(
+            f"mv ({u}, {v}) for block at ({col * n}, {row * n}) leaves the frame"
+        )
     output = previous.copy()
-    for row in range(rows):
-        for col in range(cols):
-            x, y = col * n, row * n
-            u, v = int(mv_field[row, col, 0]), int(mv_field[row, col, 1])
-            if not (0 <= x + u <= width - n and 0 <= y + v <= height - n):
-                raise ValueError(
-                    f"mv ({u}, {v}) for block at ({x}, {y}) leaves the frame"
-                )
-            output[y : y + n, x : x + n] = previous[y + v : y + v + n, x + u : x + u + n]
+    # A frame smaller than one block has an empty grid and no n x n window.
+    if rows and cols:
+        # grid[row, col] is the output block at (row, col): splitting the
+        # axes of a slice makes a view, so the gather writes into output.
+        grid = output[: rows * n, : cols * n].reshape(rows, n, cols, n).transpose(0, 2, 1, 3)
+        grid[...] = sliding_window_view(previous, (n, n))[ys, xs]
     return output
 
 

@@ -388,6 +388,19 @@ class TestArgumentSurface:
         assert status == 1
         assert "du,dv" in capsys.readouterr().err
 
+    def test_unknown_synth_kind_lists_documented_kinds(self, capsys):
+        status = run_cli(
+            "run",
+            "--algo", "fsa",
+            "--format", "synth",
+            "--input", "static",
+            "--frames", "2",
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "'static'" in err and "translate" in err and "random" in err
+        assert "random_texture_translate" not in err
+
     @pytest.mark.parametrize(
         "geometry",
         [("--frames", "0"), ("--width", "0", "--height", "0")],

@@ -241,10 +241,37 @@ class TestFullSearchKernel:
             assert tuple(mv_field[row, col]) == mv
 
     def test_accumulator_holds_largest_block_sad(self):
-        # 2901^2 * 255 is the last block SAD that fits int32.
-        assert _sad_accumulator(1) is np.int32
+        # 16^2 * 255 = 65,280 is the last block SAD that fits uint16 and
+        # 2901^2 * 255 the last that fits int32.
+        assert _sad_accumulator(1) is np.uint16
+        assert _sad_accumulator(16) is np.uint16
+        assert _sad_accumulator(17) is np.int32
         assert _sad_accumulator(2901) is np.int32
         assert _sad_accumulator(2902) is np.int64
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_saturated_16x16_blocks_reach_the_uint16_ceiling(self, algorithm):
+        # Every candidate of every block costs 65,280, the largest SAD a
+        # uint16 accumulator is asked to hold.
+        current = np.full((48, 48), 255, dtype=np.uint8)
+        previous = np.zeros((48, 48), dtype=np.uint8)
+        _, results = estimate_frame(current, previous, SearchConfig(w=7, n=16), algorithm)
+        assert [result.sad for result in results] == [16 * 16 * 255] * 9
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_binary_frames_match_naive_scan_either_side_of_uint16(self, n):
+        # n = 16 sums in uint16 and n = 17 in int32; {0, 255} pixels put
+        # SADs near either accumulator's limit.
+        rng = np.random.default_rng(n)
+        pixels = np.array([0, 255], dtype=np.uint8)
+        current = rng.choice(pixels, (2 * n + 3, 3 * n + 5))
+        previous = rng.choice(pixels, (2 * n + 3, 3 * n + 5))
+        config = SearchConfig(w=5, n=n)
+        mv_field, results = estimate_frame(current, previous, config, "fsa")
+        for block, result in zip(partition(current, n), results):
+            mv, cost, count = naive_full_search(current, previous, block, config.w)
+            assert (result.mv, result.sad, result.evaluations) == (mv, cost, count)
+            assert tuple(mv_field[block.y // n, block.x // n]) == mv
 
 
 class TestDebmFrame:
@@ -622,7 +649,46 @@ class TestSearchBlock:
             search_block(algorithm, frame, frame, block, SearchConfig(), 0)
 
 
+def loop_compensate(previous, mv_field, n):
+    """Per-block loop oracle for compensate: copy the previous frame and
+    overwrite each grid block with its displaced patch."""
+    output = previous.copy()
+    rows, cols = mv_field.shape[:2]
+    for row in range(rows):
+        for col in range(cols):
+            x, y = col * n, row * n
+            u, v = int(mv_field[row, col, 0]), int(mv_field[row, col, 1])
+            output[y : y + n, x : x + n] = previous[y + v : y + v + n, x + u : x + u + n]
+    return output
+
+
+@st.composite
+def compensation_cases(draw):
+    """A frame with 0-3 block rows and columns plus remainder pixels, and
+    a field whose vectors are anywhere in their valid box, often on its
+    edge."""
+    n = draw(st.integers(1, 8))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    height = rows * n + draw(st.integers(0, n - 1))
+    width = cols * n + draw(st.integers(0, n - 1))
+    previous = draw(arrays(np.uint8, (height, width)))
+    field = np.zeros((rows, cols, 2), dtype=np.int32)
+    for row in range(rows):
+        for col in range(cols):
+            for axis, anchor, size in ((0, col * n, width), (1, row * n, height)):
+                low, high = -anchor, size - n - anchor
+                edge = st.sampled_from([low, high])
+                field[row, col, axis] = draw(edge | st.integers(low, high))
+    return previous, field, n
+
+
 class TestCompensate:
+    @settings(max_examples=80, deadline=None)
+    @given(compensation_cases())
+    def test_matches_per_block_loop(self, case):
+        previous, field, n = case
+        assert np.array_equal(compensate(previous, field, n), loop_compensate(previous, field, n))
+
     def test_zero_field_is_identity(self):
         rng = np.random.default_rng(30)
         previous = random_frame(rng, 64, 64)
@@ -671,10 +737,12 @@ class TestCompensate:
             compensate(previous, np.zeros((3, 4, 2), dtype=np.int32), 16)
 
     def test_escaping_vector_rejected(self):
+        # Two blocks escape; the error names the first in row-major order.
         previous = np.zeros((32, 32), dtype=np.uint8)
         field = np.zeros((2, 2, 2), dtype=np.int32)
-        field[0, 0] = (-1, 0)
-        with pytest.raises(ValueError):
+        field[1, 0] = (-1, 0)
+        field[0, 1] = (0, 17)
+        with pytest.raises(ValueError, match=r"mv \(0, 17\) for block at \(16, 0\) leaves the frame"):
             compensate(previous, field, 16)
 
 
