@@ -24,7 +24,7 @@ CR = 0.8
 GENERATIONS = 7
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """One individual: a position plus its (possibly estimated) fitness."""
 
@@ -57,7 +57,7 @@ def pick_partners(
 
 def donor_vector(best: Position, p1: Position, p2: Position, f: float) -> Position:
     """best + f * (p1 - p2), the scaled-difference mutation arithmetic."""
-    return tuple(b + f * (a - c) for b, a, c in zip(best, p1, p2))
+    return tuple([b + f * (a - c) for b, a, c in zip(best, p1, p2)])
 
 
 def mutate_best_1(
@@ -96,10 +96,10 @@ def crossover(
         )
     dim = len(donor)
     j_rand = rng.randrange(dim)
-    return tuple(
+    return tuple([
         donor[j] if rng.random() <= CR or j == j_rand else target.position[j]
         for j in range(dim)
-    )
+    ])
 
 
 def select(target: Candidate, trial: Candidate) -> Candidate:

@@ -10,6 +10,11 @@ truly evaluated 0 leaves nothing to refine: from then on, near positions
 are copied. Estimated entries join the store too, so later queries may
 chain off them.
 
+The store indexes its records by position: a request for a position
+already stored is answered by one lookup, and any other request measures
+its distance to each distinct stored position once, however many records
+share it.
+
 D is the paper's copy threshold, fixed by design like the optimizer's
 parameters in `de`.
 """
@@ -17,6 +22,7 @@ parameters in `de`.
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .de import Position
@@ -38,7 +44,7 @@ class Rule(enum.Enum):
     NEIGHBOR_COPY = 3  # estimate: copy the nearest stored fitness
 
 
-@dataclass
+@dataclass(slots=True)
 class EvaluationRecord:
     position: Position
     fitness: float
@@ -47,7 +53,7 @@ class EvaluationRecord:
     def __post_init__(self):
         if self.fitness < 0:
             raise ValueError(f"fitness must be nonnegative, got {self.fitness}")
-        if not all(math.isfinite(x) for x in self.position):
+        if not all(map(math.isfinite, self.position)):
             raise ValueError(f"position must be finite, got {self.position}")
         if self.kind not in (EVALUATED, ESTIMATED):
             raise ValueError(f"unknown record kind {self.kind!r}")
@@ -65,10 +71,14 @@ class HistoryStore:
 
     best_index always points at the minimal fitness over all records,
     evaluated and estimated alike; ties keep the earliest insertion.
+    Alongside the records the store keeps each distinct position, in the
+    order it was first stored, with the index of its earliest record; so
+    records enter only through `append`.
     """
 
-    records: list[EvaluationRecord] = field(default_factory=list)
+    records: list[EvaluationRecord] = field(default_factory=list, init=False)
     best_index: int | None = None
+    _first: dict[Position, int] = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -76,6 +86,7 @@ class HistoryStore:
     def append(self, record: EvaluationRecord) -> int:
         self.records.append(record)
         index = len(self.records) - 1
+        self._first.setdefault(tuple(record.position), index)
         if self.best_index is None or record.fitness < self.records[self.best_index].fitness:
             self.best_index = index
         return index
@@ -84,14 +95,23 @@ class HistoryStore:
         return None if self.best_index is None else self.records[self.best_index]
 
     def nearest(self, position: Position) -> NearestHit | None:
-        """Closest record by Euclidean distance; earliest insertion wins
-        ties. None iff the store is empty."""
-        hit = None
-        for index, record in enumerate(self.records):
-            distance = math.dist(record.position, position)
-            if hit is None or distance < hit.distance:
-                hit = NearestHit(index, record, distance)
-        return hit
+        """Closest record by Euclidean distance. Of equally near distinct
+        positions the one stored first wins, and of the records at that
+        position the earliest; so the earliest insertion wins every tie.
+        None iff the store is empty.
+
+        A stored position is found by lookup at distance 0.0; otherwise
+        each distinct position is measured once.
+        """
+        index = self._first.get(tuple(position))
+        if index is not None:
+            return NearestHit(index, self.records[index], 0.0)
+        if not self._first:
+            return None
+        distances = list(map(math.dist, self._first, repeat(position)))
+        distance = min(distances)
+        index = list(self._first.values())[distances.index(distance)]
+        return NearestHit(index, self.records[index], distance)
 
 
 def classify(
@@ -111,7 +131,7 @@ def classify(
     near it is a NEIGHBOR_COPY too.
 
     `hit` is `store.nearest(position)` when the caller has already looked
-    it up; otherwise the store is scanned here.
+    it up; otherwise it is looked up here.
     """
     if hit is None and store.records:
         hit = store.nearest(position)
@@ -138,8 +158,10 @@ def fitness_of(
 
     NEAR_BEST and UNEXPLORED invoke the objective exactly once; a
     NEIGHBOR_COPY copies the nearest record's fitness and does not touch
-    the objective. The store is scanned once per request. Objective errors
-    propagate and leave the store as-is.
+    the objective. The store is searched once per request, by one lookup
+    when the position is already stored and otherwise by one pass over
+    its distinct positions. Objective errors propagate and leave the
+    store as-is.
     """
     hit = store.nearest(position)
     if classify(store, position, hit) is Rule.NEIGHBOR_COPY:

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmatch import estimator
 from blockmatch.estimator import (
@@ -11,10 +12,32 @@ from blockmatch.estimator import (
     EVALUATED,
     EvaluationRecord,
     HistoryStore,
+    NearestHit,
     Rule,
     classify,
     fitness_of,
 )
+
+
+def linear_nearest(store, position):
+    """Oracle: scan every record in insertion order and keep the first one
+    at the least Euclidean distance."""
+    hit = None
+    for index, record in enumerate(store.records):
+        distance = math.dist(record.position, position)
+        if hit is None or distance < hit.distance:
+            hit = NearestHit(index, record, distance)
+    return hit
+
+
+# Lattice cells, signed zeros and half steps make exact repeats and
+# equal-distance ties common; free floats cover off-lattice positions.
+coordinates = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.5]),
+    st.floats(-8.0, 8.0, allow_nan=False),
+)
+positions = st.tuples(coordinates, coordinates)
 
 
 def store_of(*entries):
@@ -69,6 +92,33 @@ class TestNearest:
     def test_tie_breaks_to_earliest_insertion(self):
         store = store_of(((1.0, 0.0), 5.0), ((-1.0, 0.0), 3.0))
         assert store.nearest((0.0, 0.0)).index == 0
+
+    def test_records_enter_only_through_append(self):
+        # the position index is filled by append, so a constructor that
+        # took a record list could leave it stale
+        with pytest.raises(TypeError):
+            HistoryStore(records=[EvaluationRecord((0.0, 0.0), 1.0, EVALUATED)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(positions, st.integers(0, 39), st.lists(positions, max_size=3)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_linear_scan(self, steps):
+        # each step appends a record, then queries its position, an earlier
+        # stored position and up to three arbitrary ones
+        store = HistoryStore()
+        for position, earlier, queries in steps:
+            store.append(EvaluationRecord(position, 1.0, EVALUATED))
+            stored = [position, store.records[earlier % len(store)].position]
+            for query in stored + queries:
+                hit = store.nearest(query)
+                expected = linear_nearest(store, query)
+                assert (hit.index, hit.distance) == (expected.index, expected.distance)
+                assert hit.record is store.records[hit.index]
 
 
 class TestBestTracking:

@@ -503,6 +503,122 @@ class TestDebmSearch:
         assert all(b <= a for a, b in zip(fits, fits[1:]))
 
 
+def integer_pair(height, width, du, dv):
+    """Frame pair built with integer arithmetic alone, so its pixels do not
+    depend on the numpy version or the platform's libm: a sum of triangle
+    waves plus a hashed term, shifted by (du, dv), with a small integer
+    ripple added to the current frame so no cell matches exactly."""
+    margin = 20
+    y = np.arange(height + 2 * margin, dtype=np.int64)[:, None]
+    x = np.arange(width + 2 * margin, dtype=np.int64)[None, :]
+    base = (
+        5 * abs(x % 32 - 16)
+        + 4 * abs(y % 24 - 12)
+        + 3 * abs((x + 2 * y) % 18 - 9)
+        + (x * 2654435761 + y * 40503) % 29
+    )
+    previous = base[margin:margin + height, margin:margin + width]
+    current = base[margin + dv:margin + dv + height, margin + du:margin + du + width]
+    current = current + (x[:, :width] * 7 + y[:height] * 13) % 5
+    return previous.astype(np.uint8), current.astype(np.uint8)
+
+
+class TestDebmPinned:
+    """DE-BM's outputs on fixed integer frames, recorded from the scalar
+    search. Any change to its arithmetic, dispatch or random stream shows
+    here as a changed vector, cost, count, visit or generation best."""
+
+    # (n, w): (du, dv, height, width) of its frame pair
+    PAIRS = {(16, 7): (3, -2, 48, 64), (8, 16): (-5, 4, 40, 48)}
+    # (n, w, rng_seed): per block in partition order, (u, v, sad,
+    # evaluations, estimations)
+    FIELDS = {
+        (16, 7, 1): [
+            (4, 0, 3648, 7, 33), (4, 0, 3523, 7, 33), (4, 0, 3754, 8, 32),
+            (0, 1, 4473, 8, 32), (3, -2, 513, 13, 27), (2, -1, 1739, 11, 29),
+            (4, 0, 3417, 10, 30), (0, -1, 3988, 9, 31), (4, -1, 3367, 9, 31),
+            (4, -1, 3591, 9, 31), (5, -1, 3350, 9, 31), (0, -1, 3651, 9, 31),
+        ],
+        (16, 7, 201): [
+            (4, 0, 3648, 7, 33), (4, 0, 3523, 8, 32), (4, 0, 3754, 7, 33),
+            (0, 1, 4473, 8, 32), (3, -2, 513, 11, 29), (4, 0, 3331, 12, 28),
+            (4, 0, 3417, 9, 31), (0, -1, 3988, 8, 32), (4, -1, 3367, 9, 31),
+            (3, -2, 513, 11, 29), (5, -1, 3350, 10, 30), (0, -1, 3651, 8, 32),
+        ],
+        (8, 16, 1): [
+            (1, 9, 509, 17, 23), (-4, 0, 1087, 7, 33), (-4, 0, 970, 8, 32),
+            (-2, 1, 849, 12, 28), (-5, 1, 645, 9, 31), (-4, 3, 463, 9, 31),
+            (0, 5, 1396, 9, 31), (-5, 4, 125, 18, 22), (-4, 0, 927, 10, 30),
+            (-4, 0, 852, 10, 30), (-4, 3, 353, 13, 27), (-4, 0, 923, 9, 31),
+            (1, 0, 843, 9, 31), (-2, 1, 645, 13, 27), (-6, 2, 833, 17, 23),
+            (-5, 1, 1011, 11, 29), (-1, 0, 780, 9, 31), (0, 1, 826, 8, 32),
+            (0, -8, 1139, 13, 27), (-5, 4, 127, 13, 27), (-4, 0, 717, 11, 29),
+            (-6, -1, 1165, 11, 29), (-5, 4, 129, 14, 26), (-4, 0, 944, 10, 30),
+            (0, 0, 2090, 7, 33), (-4, 0, 816, 7, 33), (-1, -6, 835, 10, 30),
+            (-4, 0, 705, 7, 33), (-4, 0, 1249, 7, 33), (-4, 0, 1035, 6, 34),
+        ],
+        (8, 16, 201): [
+            (1, 9, 509, 17, 23), (-4, 5, 790, 12, 28), (-4, 0, 970, 7, 33),
+            (-4, 3, 361, 15, 25), (-4, 0, 717, 7, 33), (-1, 3, 1168, 8, 32),
+            (0, 5, 1396, 10, 30), (-6, 5, 503, 19, 21), (-3, 2, 747, 10, 30),
+            (-4, 0, 852, 11, 29), (-4, 3, 353, 18, 22), (-4, 3, 367, 16, 24),
+            (0, 1, 859, 8, 32), (-2, 1, 645, 10, 30), (-5, 1, 1075, 14, 26),
+            (-5, 1, 1011, 11, 29), (1, 0, 878, 9, 31), (0, 1, 826, 8, 32),
+            (0, -8, 1139, 14, 26), (-2, 4, 785, 12, 28), (-4, 0, 717, 11, 29),
+            (-3, 2, 619, 14, 26), (-5, 1, 909, 11, 29), (-4, 0, 944, 8, 32),
+            (0, 0, 2090, 7, 33), (-4, 0, 816, 7, 33), (-1, -6, 835, 13, 27),
+            (-4, 0, 705, 9, 31), (-4, 0, 1249, 8, 32), (-4, 0, 1035, 6, 34),
+        ],
+    }
+    # n=16/w=7 at rng_seed 1, block index: the probe's visits as "u,v"
+    # plus e (evaluated) or c (copied), then its best_per_generation
+    PROBES = {
+        0: (
+            "0,0e 0,0e 4,0e 0,0c 0,4e 3,0e 5,0e 4,1e 3,1c 5,1c 3,0c 0,0c 5,0c 3,0c "
+            "5,0c 2,0c 4,2c 5,0c 6,0c 3,0c 2,0c 2,1c 5,0c 6,1c 5,2c 3,2c 6,2c 2,2c "
+            "5,0c 1,0c 7,0c 4,3c 4,1c 7,1c 1,1c 3,3c 3,0c 5,3c 5,0c 7,2c ",
+            [3648, 3648, 3648, 3648, 3648, 3648, 3648, 3648],
+        ),
+        5: (
+            "0,0e -4,0e 4,0e 0,-4e 0,4e 2,0e -4,1c 3,-1e 3,0e 6,0c 2,-1e 3,1c 4,-1c "
+            "6,-1c 5,0c 3,-1c 1,-1e 1,-1c 2,-2e 5,-1c 2,-2c 1,-2c 3,-2c 2,-2c 5,-1c "
+            "1,0c 3,-1c 3,-2c 2,-2c 3,-2c 2,-3c 0,-1c 3,-1c 2,1c 1,-1c 1,-1c 1,-1c "
+            "0,-2c 4,-2c 3,-1c ",
+            [3331, 3320, 1739, 1739, 1739, 1739, 1739, 1739],
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(FIELDS))
+    def test_estimate_frame(self, key):
+        n, w, seed = key
+        du, dv, height, width = self.PAIRS[(n, w)]
+        previous, current = integer_pair(height, width, du, dv)
+        config = SearchConfig(w=w, n=n, rng_seed=seed)
+        mv_field, results = estimate_frame(current, previous, config, "debm")
+        got = [
+            (r.mv.u, r.mv.v, r.sad, r.evaluations, r.estimations) for r in results
+        ]
+        assert got == self.FIELDS[key]
+        assert mv_field.reshape(-1, 2).tolist() == [[u, v] for u, v, *_ in got]
+
+    @pytest.mark.parametrize("index", sorted(PROBES))
+    def test_search_block_probe(self, index):
+        previous, current = integer_pair(48, 64, 3, -2)
+        block = partition(current, 16)[index]
+        probe = SearchProbe()
+        search_block(
+            "debm", current, previous, block, SearchConfig(rng_seed=1), index, probe
+        )
+        visits, best_per_generation = self.PROBES[index]
+        kinds = {"e": EVALUATED, "c": ESTIMATED}
+        expected = [
+            (*map(int, cell[:-1].split(",")), kinds[cell[-1]])
+            for cell in visits.split()
+        ]
+        assert [tuple(visit) for visit in probe.visits] == expected
+        assert probe.best_per_generation == best_per_generation
+
+
 class TestEstimateFrame:
     def test_fsa_on_identical_frames(self):
         rng = np.random.default_rng(20)
