@@ -1,8 +1,6 @@
 """Motion-estimation toolkit: exhaustive, fixed-pattern and
 differential-evolution block matching with fitness estimation."""
 
-from .de import Candidate
-from .estimator import EvaluationRecord, HistoryStore, Rule
 from .metrics import (
     FrameOutcome,
     FrameScore,

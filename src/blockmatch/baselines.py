@@ -5,10 +5,8 @@ region, cost a pattern step's unseen cells in one gather from the shared
 window view, cache every computed cost so a position is never evaluated
 twice, and report the same per-block accounting as the other algorithms.
 `motion.search_block` runs them by name, "tss" and "ds". A SAD here
-is exactly the one `motion.sad` computes, summed the same way.
+is exactly the one `motion.sad` computes, summed by `motion._abs_sum`.
 """
-
-import numpy as np
 
 from .estimator import EVALUATED
 from .motion import (
@@ -17,8 +15,8 @@ from .motion import (
     CellVisit,
     MotionVector,
     SearchProbe,
+    _abs_sum,
     _bounds,
-    _sad_accumulator,
 )
 
 # Large diamond: center first so a tie never moves the center, which keeps
@@ -31,9 +29,7 @@ class _CachedCost:
     """SAD with a per-search visited-position cache and validity guard.
     A call takes one pattern step's distinct valid cells, costs the unseen
     ones in one gather of their patches from the window view, visiting them
-    in order, and returns the step's SADs in order. Each SAD is summed as
-    `motion._sad_wide` sums it: the uint16 view of |diff| in
-    `_sad_accumulator(n)`."""
+    in order, and returns the step's SADs in order, summed by `_abs_sum`."""
 
     def __init__(self, cur, windows, block, w, probe):
         self.cur = cur
@@ -53,9 +49,7 @@ class _CachedCost:
             x, y, n = self.block
             diff = self.windows[[y + v for _, v in fresh], [x + u for u, _ in fresh]]
             diff -= self.cur[y : y + n, x : x + n]
-            np.abs(diff, out=diff)
-            sads = np.add.reduce(diff.view(np.uint16), axis=(1, 2), dtype=_sad_accumulator(n))
-            self.seen.update(zip(fresh, sads.tolist()))
+            self.seen.update(zip(fresh, _abs_sum(diff, (1, 2), n).tolist()))
             if self.probe is not None:
                 self.probe.visits.extend(CellVisit(u, v, EVALUATED) for u, v in fresh)
         return [self.seen[cell] for cell in cells]

@@ -124,6 +124,15 @@ def _resolve_format(args) -> str:
     )
 
 
+def _int_pair(text: str, what: str, names: str) -> tuple[int, int]:
+    """Two integers written 'a,b'; `what` and `names` word the error."""
+    try:
+        a, b = text.split(",")
+        return int(a), int(b)
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}, expected '{names}'") from None
+
+
 def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
     label, _, motion = spec.partition(":")
     kinds = {"translate": "translate", "random": "random_texture_translate"}
@@ -132,15 +141,7 @@ def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
             f"unknown synthetic kind {label!r}, expected one of {', '.join(kinds)}"
         )
     kind = kinds[label]
-    du = dv = 0
-    if motion:
-        try:
-            du_text, dv_text = motion.split(",")
-            du, dv = int(du_text), int(dv_text)
-        except ValueError:
-            raise ValueError(
-                f"bad synthetic motion {motion!r}, expected 'du,dv'"
-            ) from None
+    du, dv = _int_pair(motion, "synthetic motion", "du,dv") if motion else (0, 0)
     if max(abs(du), abs(dv)) > args.search_range:
         raise ValueError(
             f"motion ({du}, {dv}) exceeds the +-{args.search_range} search range"
@@ -225,8 +226,8 @@ def _fmt_db(value: float) -> str:
 
 
 def cmd_run(args, written: list[str]) -> str:
-    frames = load_frames(args)
     config = build_config(args)
+    frames = load_frames(args)
     report, outcomes = run_sequence(frames, config, args.algo)
     blocks = partition(frames[0], config.n)
     if args.out:
@@ -259,8 +260,8 @@ def cmd_compare(args, written: list[str]) -> str:
     repeated = sorted({a for a in algos if algos.count(a) > 1})
     if repeated:
         raise ValueError(f"algorithm(s) {repeated} requested more than once")
-    frames = load_frames(args)
     config = build_config(args)
+    frames = load_frames(args)
     reference = run_sequence(frames, config, "fsa")[0]
 
     rows = []
@@ -297,20 +298,14 @@ def cmd_compare(args, written: list[str]) -> str:
 
 
 def cmd_trace(args, written: list[str]) -> str:
-    frames = load_frames(args)
     config = build_config(args)
+    frames = load_frames(args)
     if not 1 <= args.frame < len(frames):
         raise ValueError(
             f"frame {args.frame} out of range; predictable frames are "
             f"1..{len(frames) - 1}"
         )
-    try:
-        x_text, y_text = args.trace_block.split(",")
-        x, y = int(x_text), int(y_text)
-    except ValueError:
-        raise ValueError(
-            f"bad --trace-block {args.trace_block!r}, expected 'x,y'"
-        ) from None
+    x, y = _int_pair(args.trace_block, "--trace-block", "x,y")
 
     current, previous = frames[args.frame], frames[args.frame - 1]
     blocks = partition(current, config.n)

@@ -73,7 +73,8 @@ class HistoryStore:
     evaluated and estimated alike; ties keep the earliest insertion.
     Alongside the records the store keeps each distinct position, in the
     order it was first stored, with the index of its earliest record; so
-    records enter only through `append`.
+    records enter only through `append`. DE-BM's repair reads that index
+    as the set of positions requested so far.
     """
 
     records: list[EvaluationRecord] = field(default_factory=list, init=False)

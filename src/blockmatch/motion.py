@@ -41,10 +41,10 @@ class SearchConfig:
     """Search settings; the defaults are the reference configuration
     (16x16 blocks, +-7 px window).
 
-    rng_seed seeds debm: the block at index i in partition order runs its
-    optimizer from rng_seed ^ i. DE-BM's other parameters are the paper's
-    and not settable: de.F, de.CR and de.GENERATIONS, 5 individuals, one
-    per pattern point, and the copy threshold estimator.D.
+    rng_seed, nonnegative, seeds debm: the block at index i in partition
+    order runs its optimizer from rng_seed ^ i. DE-BM's other parameters
+    are the paper's and not settable: de.F, de.CR and de.GENERATIONS, 5
+    individuals, one per pattern point, and the copy threshold estimator.D.
     """
 
     w: int = 7
@@ -56,6 +56,10 @@ class SearchConfig:
             raise ValueError(f"search range must be at least 1, got {self.w}")
         if self.n < 1:
             raise ValueError(f"block size must be at least 1, got {self.n}")
+        # random.Random(-s) draws the stream of Random(s), so the per-block
+        # seeds rng_seed ^ i of a negative seed would alias other seeds'.
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.rng_seed}")
 
 
 @dataclass
@@ -196,27 +200,29 @@ _INT32_MAX = 2**31 - 1
 def _sad_accumulator(n: int) -> type:
     """Narrowest integer dtype that holds the SAD of an n x n block of
     8-bit pixels: uint16 up to n = 16 (a 16x16 SAD is at most 65,280),
-    int32 up to n = 2901, int64 above.
-
-    Callers sum the uint16 view of an int16 |diff|: every |diff| is at
-    most 255, so its bits read the same unsigned, and for n <= 16 the
-    reduction then runs in its input dtype with no per-element cast."""
+    int32 up to n = 2901, int64 above."""
     largest = n * n * 255
     if largest <= _UINT16_MAX:
         return np.uint16
     return np.int32 if largest <= _INT32_MAX else np.int64
 
 
+def _abs_sum(diff: np.ndarray, axis, n: int) -> np.ndarray:
+    """The one way every search sums a SAD: |diff| over `axis`, for an
+    int16 difference of n x n blocks of 8-bit pixels, taken in place.
+    Every |diff| is at most 255, so its uint16 view reads the same and is
+    summed in `_sad_accumulator(n)`, for n <= 16 with no per-element cast."""
+    np.abs(diff, out=diff)
+    return np.add.reduce(diff.view(np.uint16), axis, _sad_accumulator(n))
+
+
 def _sad_wide(
     cur: np.ndarray, windows: np.ndarray, block: BlockRef, u: int, v: int
 ) -> int:
-    """SAD of one candidate; cur and windows come from _widen. The int16
-    |diff| is summed through its uint16 view in `_sad_accumulator(n)`,
-    the one way every search sums a SAD."""
+    """SAD of one candidate, summed by `_abs_sum`; cur and windows come
+    from _widen."""
     x, y, n = block
-    diff = cur[y : y + n, x : x + n] - windows[y + v, x + u]
-    np.abs(diff, out=diff)
-    return int(np.add.reduce(diff.view(np.uint16), None, _sad_accumulator(n)))
+    return int(_abs_sum(cur[y : y + n, x : x + n] - windows[y + v, x + u], None, n))
 
 
 def sad(
@@ -265,9 +271,8 @@ def _full_search(
     (cols, (rows + n - 1)*cols, 1), reads every candidate of that pixel
     as one stretch of rows*cols cells. Differencing, `abs` and the
     reduction over the n*n pixels then loop n*n times over long runs
-    instead of rows*cols*n times over rows of n pixels. The reduction
-    sums the uint16 view of |diff| in `_sad_accumulator(n)`: for n <= 16
-    that is uint16 itself, so no pixel is widened on the way.
+    instead of rows*cols*n times over rows of n pixels, summed by
+    `_abs_sum`.
     """
     x, y, n = block
     umin, umax, vmin, vmax = _bounds(windows, block, w)
@@ -287,9 +292,7 @@ def _full_search(
         0,
         (cols * item, (rows + n - 1) * cols * item, item),
     )
-    diff = runs - cur[y : y + n, x : x + n, None]
-    np.abs(diff, out=diff)
-    sads = np.add.reduce(diff.view(np.uint16), axis=(0, 1), dtype=_sad_accumulator(n))
+    sads = _abs_sum(runs - cur[y : y + n, x : x + n, None], (0, 1), n)
     # sads[r*cols + u] is candidate (umin + u, vmin + r), so argmin scans
     # v-major then u: the first minimum has the smallest v and, within
     # it, the smallest u.
@@ -356,11 +359,11 @@ def _clamped_cell(
 
 
 @functools.lru_cache(maxsize=None)
-def _offsets_nearest_first(w: int) -> tuple[tuple[int, int, int], ...]:
+def _offsets_nearest_first(reach: int) -> tuple[tuple[int, int, int], ...]:
     """(du, dv, du^2 + dv^2) for every nonzero offset between two cells of
-    a (2w+1)^2 window, by increasing length; equal lengths keep v-major
-    scan order."""
-    span = range(-2 * w, 2 * w + 1)
+    a box whose sides span at most `reach` steps, by increasing length;
+    equal lengths keep v-major scan order."""
+    span = range(-reach, reach + 1)
     return tuple(
         sorted(
             ((du, dv, du * du + dv * dv) for dv in span for du in span if du or dv),
@@ -393,12 +396,14 @@ def _debm_search(
     """
     bounds = _bounds(windows, block, w)
     umin, umax, vmin, vmax = bounds
-    offsets = _offsets_nearest_first(w)
+    offsets = _offsets_nearest_first(max(umax - umin, vmax - vmin))
     store = HistoryStore()
+    # The store's position index holds every requested cell: de.run
+    # requests the seeds before any repair, and each repaired cell at once.
+    requested = store._first
     # Individuals live on the valid lattice, so every requested position
     # is already a cell and the objective needs no projection.
     seeds = [_clamped_cell(p, bounds) for p in initial_pattern(w)]
-    requested = set(seeds)
 
     def repair(position: Position) -> Position:
         # A trial on the incumbent's cell would only re-evaluate a known
@@ -421,7 +426,6 @@ def _debm_search(
                         found = (ring, gap, fresh)
             if found is not None:
                 cell = found[2]
-        requested.add(cell)
         # float coordinates keep the DE arithmetic on CPython's float fast path
         return float(cell[0]), float(cell[1])
 
@@ -538,11 +542,9 @@ def estimate_frame(
             for index, block in enumerate(blocks)
         ]
 
+    # partition's row-major order is the grid's.
     rows, cols = grid_shape(current.shape, config.n)
-    field_array = np.zeros((rows, cols, 2), dtype=np.int32)
-    for block, result in zip(blocks, results):
-        field_array[block.y // config.n, block.x // config.n] = result.mv
-    return field_array, results
+    return np.array([r.mv for r in results], np.int32).reshape(rows, cols, 2), results
 
 
 def compensate(previous: np.ndarray, mv_field: np.ndarray, n: int) -> np.ndarray:

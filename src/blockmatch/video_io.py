@@ -21,6 +21,15 @@ from .motion import BlockRef
 FORMATS = ("y4m", "yuv420")
 SYNTH_KINDS = ("translate", "random_texture_translate")
 
+# Longest y4m header or FRAME line accepted, newline included; real ones
+# are a few dozen bytes.
+_LINE_LIMIT = 4096
+# Largest single read. A plane is read in pieces of at most this size, so
+# a size that the header or --width/--height declares allocates at most
+# one piece beyond the bytes actually present, and a plane of up to
+# 512 KiB, such as 720x576 luma, still takes one read.
+_READ_CHUNK = 1 << 19
+
 
 class FormatError(ValueError):
     """Malformed input bytes; offset locates the failure when known."""
@@ -78,9 +87,10 @@ def _check_dims(width: int, height: int) -> None:
 
 def _iter_y4m(path: str, limit: int | None) -> Iterator[np.ndarray]:
     with open(path, "rb") as stream:
-        header = stream.readline()
+        header = stream.readline(_LINE_LIMIT)
         if not header.startswith(b"YUV4MPEG2"):
             raise FormatError(f"missing YUV4MPEG2 signature in {path}", offset=0)
+        _check_line(header, "header", path, 0)
         width = height = None
         colorspace = b"C420"
         for token in header.split()[1:]:
@@ -112,12 +122,33 @@ def _iter_y4m(path: str, limit: int | None) -> Iterator[np.ndarray]:
 
         def at_frame() -> bool:
             offset = stream.tell()
-            marker = stream.readline()
+            marker = stream.readline(_LINE_LIMIT)
             if marker and not marker.startswith(b"FRAME"):
                 raise FormatError(f"expected FRAME marker in {path}", offset=offset)
+            _check_line(marker, "FRAME marker", path, offset)
             return marker != b""
 
         yield from _read_frames(stream, path, width, height, limit, at_frame)
+
+
+def _check_line(line: bytes, name: str, path: str, offset: int) -> None:
+    """Reject a y4m line that `readline(_LINE_LIMIT)` cut off at the limit."""
+    if len(line) == _LINE_LIMIT and not line.endswith(b"\n"):
+        raise FormatError(
+            f"y4m {name} line longer than {_LINE_LIMIT} bytes in {path}", offset=offset
+        )
+
+
+def _read_up_to(stream, size: int) -> bytes:
+    """`size` bytes from the stream, or all that is left when fewer are."""
+    chunks = []
+    while size > 0:
+        chunk = stream.read(min(size, _READ_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
 
 
 def _iter_yuv420(
@@ -139,10 +170,10 @@ def _read_frames(
     chroma_size = y_size // 2
     frames_read = 0
     while (limit is None or frames_read < limit) and at_frame():
-        luma = stream.read(y_size)
+        luma = _read_up_to(stream, y_size)
         if len(luma) < y_size:
             raise TruncationError(f"truncated luma plane in {path}", frames_read)
-        chroma = stream.read(chroma_size)
+        chroma = _read_up_to(stream, chroma_size)
         if len(chroma) < chroma_size:
             raise TruncationError(
                 f"truncated chroma planes in {path}", frames_read
@@ -251,19 +282,21 @@ def _wave_texture(width: int, height: int) -> np.ndarray:
 MV_DUMP_HEADER = "frame,x,y,u,v,sad,evaluations,estimations"
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+def _atomic_write_text(path: str, payload: str) -> None:
+    """Write through a hidden temp file beside the target and rename it
+    over the target. The temp file is removed on any failure, and an
+    OSError names the target alone."""
     target = Path(path)
     temp = target.with_name(f".{target.name}.tmp{os.getpid()}")
     try:
-        temp.write_bytes(payload)
+        temp.write_bytes(payload.encode())
         os.replace(temp, target)
+    except OSError as exc:
+        temp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-
-
-def _atomic_write_text(path: str, payload: str) -> None:
-    _atomic_write_bytes(path, payload.encode())
 
 
 def write_json(document: dict, path: str) -> None:

@@ -425,6 +425,21 @@ class TestArgumentSurface:
         )
         assert run_cli("run", "--algo", "fsa", *clip, "--search-range", "9") == 0
 
+    @pytest.mark.parametrize("command", ["run", "compare", "trace"])
+    @pytest.mark.parametrize("fmt", ["synth", "y4m"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, fmt, command):
+        # random.Random(-1) draws Random(1)'s stream, so a negative seed
+        # would alias another seed's blocks. Synth input would otherwise
+        # fail in numpy with a message that does not name the flag.
+        clip = tmp_path / "clip.y4m"
+        clip.write_bytes(b"YUV4MPEG2 W16 H16 C420\n" + (b"FRAME\n" + bytes(384)) * 2)
+        given = {"synth": ["--format", "synth", "--input", "random:1,1", "--frames", "2"],
+                 "y4m": ["--input", str(clip)]}[fmt]
+        extra = {"run": ["--algo", "debm"], "compare": [],
+                 "trace": ["--algo", "debm", "--trace-block", "0,0", "--out", str(tmp_path / "t.json")]}[command]
+        assert run_cli(command, *given, *extra, "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+
     @pytest.mark.parametrize(
         "command, outputs, clash",
         [

@@ -251,12 +251,14 @@ class TestFullSearchKernel:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_saturated_16x16_blocks_reach_the_uint16_ceiling(self, algorithm):
-        # Every candidate of every block costs 65,280, the largest SAD a
-        # uint16 accumulator is asked to hold.
-        current = np.full((48, 48), 255, dtype=np.uint8)
-        previous = np.zeros((48, 48), dtype=np.uint8)
-        _, results = estimate_frame(current, previous, SearchConfig(w=7, n=16), algorithm)
-        assert [result.sad for result in results] == [16 * 16 * 255] * 9
+        # At n = 16 every candidate of every block costs 65,280, the
+        # largest SAD a uint16 accumulator is asked to hold; n = 17, at
+        # 73,695, takes the int32 path.
+        for n in (16, 17):
+            current = np.full((3 * n, 3 * n), 255, dtype=np.uint8)
+            previous = np.zeros((3 * n, 3 * n), dtype=np.uint8)
+            _, results = estimate_frame(current, previous, SearchConfig(w=7, n=n), algorithm)
+            assert [result.sad for result in results] == [n * n * 255] * 9
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_binary_frames_match_naive_scan_either_side_of_uint16(self, n):
@@ -478,6 +480,22 @@ class TestDebmSearch:
             )
             cells = [(v.u, v.v) for v in probe.visits if v.kind == EVALUATED]
             assert len(cells) == len(set(cells)) == result.evaluations
+
+    def test_repair_reach_is_the_block_box(self, monkeypatch):
+        # On a 48x48 frame of 16x16 blocks every box spans at most 32
+        # cells a side, whatever w asks for, so w = 60 and w = 40 search
+        # the same boxes and repair over offsets of at most 32.
+        rng = np.random.default_rng(27)
+        current, previous = random_frame(rng, 48, 48), random_frame(rng, 48, 48)
+        reaches = []
+        table = motion._offsets_nearest_first
+        monkeypatch.setattr(
+            motion, "_offsets_nearest_first", lambda reach: reaches.append(reach) or table(reach)
+        )
+        wide = estimate_frame(current, previous, SearchConfig(w=60, n=16, rng_seed=5), "debm")
+        assert reaches and max(reaches) <= 32
+        narrow = estimate_frame(current, previous, SearchConfig(w=40, n=16, rng_seed=5), "debm")
+        assert np.array_equal(wide[0], narrow[0]) and wide[1] == narrow[1]
 
     def test_never_beats_exhaustive_search(self):
         rng = np.random.default_rng(16)
@@ -876,6 +894,8 @@ class TestConfigDefaults:
             SearchConfig(w=0)
         with pytest.raises(ValueError):
             SearchConfig(n=0)
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(rng_seed=-1)
 
     def test_interior_predicate(self):
         # A block is interior when its bounds are the whole |u|,|v| <= w window.

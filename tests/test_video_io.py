@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -159,6 +160,56 @@ class TestRawYuv:
             open_sequence(source)
 
 
+def peak_while_failing(source, error, match):
+    """Python heap peak, in bytes, of decoding `source`, which must raise
+    `error` with a message matching `match`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            list(open_sequence(source))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadMemory:
+    """A reader's memory is bounded by its input, not by what the input
+    declares: a line without a newline is cut at a fixed length, and a
+    frame size that the header or the geometry flags declare is not
+    allocated up front."""
+
+    @pytest.mark.parametrize(
+        "head, size, error, match",
+        [
+            (b"", 16 << 20, FormatError, "missing YUV4MPEG2 signature"),
+            (b"YUV4MPEG2 ", 16 << 20, FormatError, "header line longer than 4096 bytes"),
+            (b"YUV4MPEG2 W16 H16\n", 16 << 20, FormatError, "expected FRAME marker"),
+            (b"YUV4MPEG2 W16 H16\nFRAME ", 16 << 20, FormatError, "FRAME marker line longer"),
+            (b"YUV4MPEG2 W8192 H8192\nFRAME\n", 1000, TruncationError, "luma"),
+        ],
+        ids=["no-newline", "long-header", "long-garbage", "long-frame-line", "huge-geometry"],
+    )
+    def test_y4m_peak_under_1mb(self, tmp_path, head, size, error, match):
+        # `head` then `size` bytes with no newline
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(head + b"x" * size)
+        assert peak_while_failing(SequenceSource("y4m", str(path)), error, match) < 1 << 20
+
+    def test_raw_yuv_peak_under_1mb(self, tmp_path):
+        path = tmp_path / "clip.yuv"
+        path.write_bytes(bytes(1024))
+        source = SequenceSource("yuv420", str(path), width=8192, height=8192)
+        assert peak_while_failing(source, TruncationError, "luma") < 1 << 20
+
+    def test_long_line_offset(self, tmp_path):
+        header = b"YUV4MPEG2 W16 H16\n"
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(header + b"FRAME\n" + bytes(384) + b"FRAME" + b" " * 5000)
+        with pytest.raises(FormatError) as info:
+            list(open_sequence(SequenceSource("y4m", str(path))))
+        assert info.value.offset == len(header) + 6 + 384
+
+
 class TestSynth:
     def test_static_frames_identical(self):
         params = SynthParams(width=32, height=32, frames=4, du=0, dv=0)
@@ -262,10 +313,14 @@ class TestReports:
         assert path.read_text().startswith("frame_index,")
 
     def test_write_error_carries_path(self, tmp_path):
-        missing = tmp_path / "no" / "such" / "dir" / "report.json"
-        with pytest.raises(OSError) as info:
-            write_report(sample_report(), str(missing))
-        assert "no/such/dir" in str(info.value) or "no\\such\\dir" in str(info.value)
+        # A missing directory fails the temp-file write and a directory
+        # target fails the rename; each error names the target alone.
+        (tmp_path / "out").mkdir()
+        for target in (tmp_path / "no" / "such" / "dir" / "report.json", tmp_path / "out"):
+            with pytest.raises(OSError) as info:
+                write_report(sample_report(), str(target))
+            assert repr(str(target)) in str(info.value)
+            assert ".tmp" not in str(info.value)
 
     @pytest.mark.parametrize("name", ["report.json", "report.csv"])
     def test_failed_write_removes_temp_file(self, tmp_path, name):
