@@ -28,16 +28,16 @@ _SMALL_DIAMOND = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
 class _CachedCost:
     """SAD with a per-search visited-position cache and validity guard.
     A call takes one pattern step's distinct valid cells, costs the unseen
-    ones in one gather of their patches from the window view, visiting them
-    in order, and returns the step's SADs in order, summed by `_abs_sum`."""
+    ones in one gather of their patches from the window view, adding them
+    to `seen` in visit order, and returns the step's SADs in order, summed
+    by `_abs_sum`."""
 
-    def __init__(self, cur, windows, block, w, probe):
+    def __init__(self, cur, windows, block, w):
         self.cur = cur
         self.windows = windows
         self.block = block
         self.bounds = _bounds(windows, block, w)
         self.seen: dict[tuple[int, int], int] = {}
-        self.probe = probe
 
     def valid(self, u: int, v: int) -> bool:
         umin, umax, vmin, vmax = self.bounds
@@ -50,11 +50,12 @@ class _CachedCost:
             diff = self.windows[[y + v for _, v in fresh], [x + u for u, _ in fresh]]
             diff -= self.cur[y : y + n, x : x + n]
             self.seen.update(zip(fresh, _abs_sum(diff, (1, 2), n).tolist()))
-            if self.probe is not None:
-                self.probe.visits.extend(CellVisit(u, v, EVALUATED) for u, v in fresh)
         return [self.seen[cell] for cell in cells]
 
-    def result(self, u: int, v: int) -> BlockResult:
+    def result(self, u: int, v: int, probe: SearchProbe | None) -> BlockResult:
+        """The search's outcome at (u, v); a probe gets every visit, once."""
+        if probe is not None:
+            probe.visits.extend(CellVisit(*cell, EVALUATED) for cell in self.seen)
         return BlockResult(MotionVector(u, v), self.seen[(u, v)], len(self.seen), 0)
 
 
@@ -67,11 +68,11 @@ def _scan_min(cost: _CachedCost, center, offsets, scale=1):
     return cells[values.index(min(values))]
 
 
-def _tss_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None = None) -> BlockResult:
+def _tss_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None) -> BlockResult:
     """Three-step search: 9-point grids at halving step sizes, each pass
     recentered on the running minimum. At w=7 the steps are 4, 2, 1 for at
     most 25 distinct candidates."""
-    cost = _CachedCost(cur, windows, block, w, probe)
+    cost = _CachedCost(cur, windows, block, w)
     offsets = tuple(
         (du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)
     )
@@ -83,17 +84,17 @@ def _tss_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None
     while step >= 1:
         center = _scan_min(cost, center, offsets, step)
         step //= 2
-    return cost.result(*center)
+    return cost.result(*center, probe)
 
 
-def _ds_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None = None) -> BlockResult:
+def _ds_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None) -> BlockResult:
     """Diamond search: the 9-point large diamond walks until its minimum
     stays central, then one 5-point small diamond refines the result."""
-    cost = _CachedCost(cur, windows, block, w, probe)
+    cost = _CachedCost(cur, windows, block, w)
     center = (0, 0)
     while True:
         minimum = _scan_min(cost, center, _LARGE_DIAMOND)
         if minimum == center:
             break
         center = minimum
-    return cost.result(*_scan_min(cost, center, _SMALL_DIAMOND))
+    return cost.result(*_scan_min(cost, center, _SMALL_DIAMOND), probe)

@@ -134,13 +134,7 @@ def _int_pair(text: str, what: str, names: str) -> tuple[int, int]:
 
 
 def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
-    label, _, motion = spec.partition(":")
-    kinds = {"translate": "translate", "random": "random_texture_translate"}
-    if label not in kinds:
-        raise ValueError(
-            f"unknown synthetic kind {label!r}, expected one of {', '.join(kinds)}"
-        )
-    kind = kinds[label]
+    kind, _, motion = spec.partition(":")
     du, dv = _int_pair(motion, "synthetic motion", "du,dv") if motion else (0, 0)
     if max(abs(du), abs(dv)) > args.search_range:
         raise ValueError(
@@ -251,12 +245,12 @@ def cmd_run(args, written: list[str]) -> str:
 def cmd_compare(args, written: list[str]) -> str:
     """Tabulate each search in --algo against one fsa run on the same input,
     which is also the fsa row when --algo lists fsa."""
-    algos = [a.strip() for a in args.algo.split(",") if a.strip()]
+    algos = [a.strip() for a in args.algo.split(",")]
+    if "" in algos:
+        raise ValueError(f"--algo {args.algo!r} has an empty entry")
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithm(s) {unknown}, expected {ALGORITHMS}")
-    if not algos:
-        raise ValueError("no algorithms requested")
     repeated = sorted({a for a in algos if algos.count(a) > 1})
     if repeated:
         raise ValueError(f"algorithm(s) {repeated} requested more than once")

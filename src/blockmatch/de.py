@@ -2,9 +2,11 @@
 
 The optimizer minimizes a plain `Position -> float` objective over a
 real-valued search space of any dimension, starting from a given set of
-seed positions, one individual per seed. The objective may return
-estimated rather than truly computed values; the optimizer does not
-distinguish them, so callers keep that accounting themselves.
+seed positions, one individual per seed. Every trial passes through the
+caller's repair before its fitness is requested, and every individual
+carries its fitness. The objective may return estimated rather than
+truly computed values; the optimizer does not distinguish them, so
+callers keep that accounting themselves.
 
 The control parameters are the paper's reference set, fixed by design:
 F, the mutation scale factor; CR, the crossover rate; and GENERATIONS,
@@ -29,7 +31,7 @@ class Candidate:
     """One individual: a position plus its (possibly estimated) fitness."""
 
     position: Position
-    fitness: float | None = None
+    fitness: float
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +57,9 @@ def pick_partners(
     return r1, r2
 
 
-def donor_vector(best: Position, p1: Position, p2: Position, f: float) -> Position:
-    """best + f * (p1 - p2), the scaled-difference mutation arithmetic."""
-    return tuple([b + f * (a - c) for b, a, c in zip(best, p1, p2)])
+def donor_vector(best: Position, p1: Position, p2: Position) -> Position:
+    """best + F * (p1 - p2), the scaled-difference mutation arithmetic."""
+    return tuple([b + F * (a - c) for b, a, c in zip(best, p1, p2)])
 
 
 def mutate_best_1(
@@ -68,17 +70,16 @@ def mutate_best_1(
 ) -> Position:
     """Donor = best + F * (partner1 - partner2), partners drawn per target.
 
-    The donor may leave the search bounds and is not clamped here. The
-    caller's `repair` hook of `run` projects each trial before its fitness
-    is requested; DE-BM's, in `motion._debm_search`, rounds and clamps it
-    onto the valid lattice with `_clamped_cell`.
+    The donor may leave the search bounds and is not clamped here: `run`
+    passes each trial through the caller's `repair` before its fitness is
+    requested. DE-BM's repair, in `motion._debm_search`, rounds and clamps
+    it onto the valid lattice with `_clamped_cell`.
     """
     r1, r2 = pick_partners(rng, len(population), target_index)
     return donor_vector(
         population[best_index].position,
         population[r1].position,
         population[r2].position,
-        F,
     )
 
 
@@ -104,8 +105,6 @@ def crossover(
 
 def select(target: Candidate, trial: Candidate) -> Candidate:
     """Greedy one-to-one selection; ties go to the trial."""
-    if target.fitness is None or trial.fitness is None:
-        raise ValueError("selection requires both candidates to carry fitness")
     return trial if trial.fitness <= target.fitness else target
 
 
@@ -144,7 +143,7 @@ def run(
     objective: Callable[[Position], float],
     rng_seed: int,
     seed_positions: Sequence[Sequence[float]],
-    repair: Callable[[Position], Position] | None = None,
+    repair: Callable[[Position], Position],
 ) -> tuple[Candidate, list[float]]:
     """Minimize `objective` and return (best of final population,
     best_per_generation).
@@ -158,8 +157,8 @@ def run(
     the target always exist. Each generation mutates around the current
     best (recomputed once per generation), crosses over, requests the
     objective for every trial, and keeps the better of target and trial.
-    When `repair` is given, each trial is replaced by `repair(trial)`
-    before its fitness is requested; the seed positions are used as given.
+    Each trial is replaced by `repair(trial)` before its fitness is
+    requested; the seed positions are used as given.
     Objective errors propagate unchanged.
     """
     if len(seed_positions) < 4:
@@ -178,9 +177,7 @@ def run(
         next_population = []
         for i, target in enumerate(population):
             donor = mutate_best_1(population, best_index, i, rng)
-            trial_position = crossover(target, donor, rng)
-            if repair is not None:
-                trial_position = repair(trial_position)
+            trial_position = repair(crossover(target, donor, rng))
             trial = Candidate(trial_position, objective(trial_position))
             next_population.append(select(target, trial))
         population = next_population

@@ -13,7 +13,8 @@ chain off them.
 The store indexes its records by position: a request for a position
 already stored is answered by one lookup, and any other request measures
 its distance to each distinct stored position once, however many records
-share it.
+share it. `fitness_of` looks the nearest record up once per request and
+hands it to `classify`.
 
 D is the paper's copy threshold, fixed by design like the optimizer's
 parameters in `de`.
@@ -69,25 +70,23 @@ class NearestHit(NamedTuple):
 class HistoryStore:
     """Ordered log of all fitness requests within one block search.
 
+    A store starts empty and records enter only through `append`.
     best_index always points at the minimal fitness over all records,
     evaluated and estimated alike; ties keep the earliest insertion.
-    Alongside the records the store keeps each distinct position, in the
-    order it was first stored, with the index of its earliest record; so
-    records enter only through `append`. DE-BM's repair reads that index
-    as the set of positions requested so far.
+    `positions` maps each distinct stored position, in the order it was
+    first stored, to the index of its earliest record. `fitness_of`
+    appends every request, so DE-BM's repair reads `positions` as the set
+    of positions requested so far.
     """
 
     records: list[EvaluationRecord] = field(default_factory=list, init=False)
-    best_index: int | None = None
-    _first: dict[Position, int] = field(default_factory=dict, init=False, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.records)
+    best_index: int | None = field(default=None, init=False)
+    positions: dict[Position, int] = field(default_factory=dict, init=False, repr=False)
 
     def append(self, record: EvaluationRecord) -> int:
         self.records.append(record)
         index = len(self.records) - 1
-        self._first.setdefault(tuple(record.position), index)
+        self.positions.setdefault(tuple(record.position), index)
         if self.best_index is None or record.fitness < self.records[self.best_index].fitness:
             self.best_index = index
         return index
@@ -104,23 +103,20 @@ class HistoryStore:
         A stored position is found by lookup at distance 0.0; otherwise
         each distinct position is measured once.
         """
-        index = self._first.get(tuple(position))
+        index = self.positions.get(tuple(position))
         if index is not None:
             return NearestHit(index, self.records[index], 0.0)
-        if not self._first:
+        if not self.positions:
             return None
-        distances = list(map(math.dist, self._first, repeat(position)))
+        distances = list(map(math.dist, self.positions, repeat(position)))
         distance = min(distances)
-        index = list(self._first.values())[distances.index(distance)]
+        index = list(self.positions.values())[distances.index(distance)]
         return NearestHit(index, self.records[index], distance)
 
 
-def classify(
-    store: HistoryStore,
-    position: Position,
-    hit: NearestHit | None = None,
-) -> Rule:
-    """Decide how a position's fitness is obtained.
+def classify(store: HistoryStore, position: Position, hit: NearestHit | None) -> Rule:
+    """Decide how a position's fitness is obtained, given `hit`, the
+    store's `nearest(position)`.
 
     Exactly one rule applies: no record within D (or an empty store)
     means UNEXPLORED (evaluate, nothing nearby to copy from); the best
@@ -130,12 +126,7 @@ def classify(
     means NEIGHBOR_COPY. A best record that was truly evaluated at 0, the
     least fitness a record can hold, cannot be refined, so a position
     near it is a NEIGHBOR_COPY too.
-
-    `hit` is `store.nearest(position)` when the caller has already looked
-    it up; otherwise it is looked up here.
     """
-    if hit is None and store.records:
-        hit = store.nearest(position)
     if hit is None or hit.distance > D:
         return Rule.UNEXPLORED
     best = store.best()

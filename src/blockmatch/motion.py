@@ -86,7 +86,7 @@ class CellVisit(NamedTuple):
 
 @dataclass
 class SearchProbe:
-    """Optional diagnostics collector for a single block search, the
+    """Optional diagnostics collector for one `search_block` call, the
     package's one diagnostics path; passing one never changes a result.
 
     visits: the cells the search obtained a cost for, in order, each
@@ -258,7 +258,7 @@ def _full_search(
     windows: np.ndarray,
     block: BlockRef,
     w: int,
-    probe: SearchProbe | None = None,
+    probe: SearchProbe | None,
 ) -> BlockResult:
     """Exhaustive search of one block, laid out as one contiguous run of
     candidates per block pixel.
@@ -309,19 +309,16 @@ def _full_search(
 
 
 def full_search(
-    current: np.ndarray,
-    previous: np.ndarray,
-    block: BlockRef,
-    w: int,
-    probe: SearchProbe | None = None,
+    current: np.ndarray, previous: np.ndarray, block: BlockRef, w: int
 ) -> BlockResult:
     """Evaluate every valid displacement and return the global minimum.
 
     Ties resolve to the smallest v, then the smallest u. An interior block
-    visits the full (2w+1)^2 candidate grid.
+    visits the full (2w+1)^2 candidate grid. `search_block("fsa", ...)`
+    runs the same search and takes a probe.
     """
     _require_block(current, previous, block)
-    return _full_search(*_widen(current, previous, block.n), block, w, probe)
+    return _full_search(*_widen(current, previous, block.n), block, w, None)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +395,9 @@ def _debm_search(
     umin, umax, vmin, vmax = bounds
     offsets = _offsets_nearest_first(max(umax - umin, vmax - vmin))
     store = HistoryStore()
-    # The store's position index holds every requested cell: de.run
-    # requests the seeds before any repair, and each repaired cell at once.
-    requested = store._first
+    # fitness_of appends every request, so the store's position index
+    # holds every cell requested so far.
+    requested = store.positions
     # Individuals live on the valid lattice, so every requested position
     # is already a cell and the objective needs no projection.
     seeds = [_clamped_cell(p, bounds) for p in initial_pattern(w)]

@@ -19,7 +19,7 @@ from .metrics import FrameOutcome, FrameScore, SequenceReport
 from .motion import BlockRef
 
 FORMATS = ("y4m", "yuv420")
-SYNTH_KINDS = ("translate", "random_texture_translate")
+SYNTH_KINDS = ("translate", "random")
 
 # Longest y4m header or FRAME line accepted, newline included; real ones
 # are a few dozen bytes.
@@ -203,7 +203,8 @@ class SynthParams:
 def synth_sequence(kind: str, params: SynthParams) -> Iterator[np.ndarray]:
     """Deterministic synthetic clips with known ground truth.
 
-    translate and random_texture_translate roll the base texture by
+    `kind` is one of SYNTH_KINDS, as the CLI's `--input KIND:DU,DV` names
+    it: translate rolls a wave texture and random a seeded noise texture by
     (du, dv) per frame with wrap-around, so every block whose displaced
     window stays inside the frame has true motion exactly (du, dv) with a
     zero matching error; du = dv = 0 repeats one texture unchanged.

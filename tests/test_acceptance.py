@@ -65,7 +65,7 @@ def naive_sad(current, previous, block, mv):
 def translation_sequence():
     """The shared 50-frame quarter-CIF clip with uniform motion (3, -2)."""
     params = SynthParams(width=176, height=144, frames=50, du=3, dv=-2, seed=11)
-    return list(synth_sequence("random_texture_translate", params))
+    return list(synth_sequence("random", params))
 
 
 def test_criterion_01_sad_oracle_equivalence():
@@ -218,7 +218,7 @@ def test_criterion_05_exact_translation_recovery():
         params = SynthParams(
             width=176, height=144, frames=2, du=du, dv=dv, seed=11
         )
-        previous, current = synth_sequence("random_texture_translate", params)
+        previous, current = synth_sequence("random", params)
         height, width = current.shape
         blocks = partition(current, 16)
         interior = [
@@ -323,7 +323,7 @@ def test_criterion_08_fitness_strategy_dispatch():
 
     # empty store -> true evaluation
     store = HistoryStore()
-    assert classify(store, (0.0, 0.0)) is Rule.UNEXPLORED
+    assert classify(store, (0.0, 0.0), store.nearest((0.0, 0.0))) is Rule.UNEXPLORED
     fitness_of(store, (0.0, 0.0), objective)
     assert (store.records[-1].kind, calls[0]) == (EVALUATED, 1)
 
@@ -331,7 +331,7 @@ def test_criterion_08_fitness_strategy_dispatch():
     store = HistoryStore()
     store.append(EvaluationRecord((0.0, 0.0), 50.0, EVALUATED))
     calls[0] = 0
-    assert classify(store, (5.0, 5.0)) is Rule.UNEXPLORED
+    assert classify(store, (5.0, 5.0), store.nearest((5.0, 5.0))) is Rule.UNEXPLORED
     fitness_of(store, (5.0, 5.0), objective)
     assert calls[0] == 1
 
@@ -340,7 +340,7 @@ def test_criterion_08_fitness_strategy_dispatch():
     store.append(EvaluationRecord((5.0, 4.0), 10.0, EVALUATED))
     store.append(EvaluationRecord((0.0, 0.0), 90.0, EVALUATED))
     calls[0] = 0
-    assert classify(store, (6.0, 4.0)) is Rule.NEAR_BEST
+    assert classify(store, (6.0, 4.0), store.nearest((6.0, 4.0))) is Rule.NEAR_BEST
     fitness_of(store, (6.0, 4.0), objective)
     assert calls[0] == 1
 
@@ -349,18 +349,18 @@ def test_criterion_08_fitness_strategy_dispatch():
     store.append(EvaluationRecord((0.0, 0.0), 50.0, EVALUATED))
     store.append(EvaluationRecord((6.0, 0.0), 80.0, EVALUATED))
     calls[0] = 0
-    assert classify(store, (6.0, 1.0)) is Rule.NEIGHBOR_COPY
+    assert classify(store, (6.0, 1.0), store.nearest((6.0, 1.0))) is Rule.NEIGHBOR_COPY
     value = fitness_of(store, (6.0, 1.0), objective)
     kind = store.records[-1].kind
     assert (value, kind, calls[0]) == (80.0, ESTIMATED, 0)
 
     # exact duplicate of the best -> re-evaluated; of a non-best -> copied
     calls[0] = 0
-    assert classify(store, (0.0, 0.0)) is Rule.NEAR_BEST
+    assert classify(store, (0.0, 0.0), store.nearest((0.0, 0.0))) is Rule.NEAR_BEST
     fitness_of(store, (0.0, 0.0), objective)
     assert calls[0] == 1
     calls[0] = 0
-    assert classify(store, (6.0, 0.0)) is Rule.NEIGHBOR_COPY
+    assert classify(store, (6.0, 0.0), store.nearest((6.0, 0.0))) is Rule.NEIGHBOR_COPY
     value = fitness_of(store, (6.0, 0.0), objective)
     kind = store.records[-1].kind
     assert (value, kind, calls[0]) == (80.0, ESTIMATED, 0)

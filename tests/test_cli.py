@@ -206,6 +206,26 @@ class TestCompare:
         assert status == 1
         assert "['fsa'] requested more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "algos, message",
+        [
+            ("tss,", "--algo 'tss,' has an empty entry"),
+            ("fsa,,ds", "--algo 'fsa,,ds' has an empty entry"),
+            ("", "--algo '' has an empty entry"),
+            ("bogus", "unknown algorithm(s) ['bogus']"),
+        ],
+        ids=["trailing-comma", "double-comma", "empty", "unknown"],
+    )
+    def test_bad_algorithm_list_rejected(self, tmp_path, capsys, algos, message):
+        status = run_cli(
+            "compare", "--algo", algos,
+            "--format", "synth", "--input", "random:0,0", "--frames", "3",
+            "--out", str(tmp_path / "table.json"),
+        )
+        assert status == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_full_table_ranks_are_a_permutation(self, tmp_path, capsys):
         out = tmp_path / "table.json"
         status = run_cli(

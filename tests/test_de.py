@@ -20,6 +20,11 @@ def sphere(position):
     return sum(x * x for x in position)
 
 
+def as_is(position):
+    """A repair that keeps every trial where crossover put it."""
+    return position
+
+
 def recording(fn):
     """`fn` as an objective that also logs every requested position, in
     request order, in its `requested` list."""
@@ -70,50 +75,51 @@ class TestDeParams:
 class TestInitPopulation:
     def test_exact_seed_pattern(self):
         objective = recording(sphere)
-        de.run(objective, 0, SEEDS)
+        de.run(objective, 0, SEEDS, as_is)
         assert objective.requested[:5] == SEEDS
         assert len(objective.requested) == 5 * (1 + de.GENERATIONS)
 
     def test_single_seed(self):
         with pytest.raises(ValueError):
-            de.run(sphere, 0, [(0.0, 0.0)])
+            de.run(sphere, 0, [(0.0, 0.0)], as_is)
 
     def test_zero_population_rejected(self):
         with pytest.raises(ValueError):
-            de.run(sphere, 0, [])
+            de.run(sphere, 0, [], as_is)
 
     def test_one_individual_per_seed(self):
         start = random_start(3, count=7)
         objective = recording(sphere)
-        de.run(objective, 3, start)
+        de.run(objective, 3, start, as_is)
         assert objective.requested[:7] == start
         assert len(objective.requested) == 7 * (1 + de.GENERATIONS)
 
     def test_population_needs_best_plus_partners(self):
         with pytest.raises(ValueError):
-            de.run(sphere, 0, SEEDS[:3])
+            de.run(sphere, 0, SEEDS[:3], as_is)
         objective = recording(sphere)
-        de.run(objective, 0, SEEDS[:4])
+        de.run(objective, 0, SEEDS[:4], as_is)
         assert objective.requested[:4] == SEEDS[:4]
         assert len(objective.requested) == 4 * (1 + de.GENERATIONS)
 
 
 class TestMutation:
     def test_donor_arithmetic(self):
-        # hand-computed: (2,3) + 0.25 * ((1,1) - (-1,2)) = (2.5, 2.75)
-        assert donor_vector((2.0, 3.0), (1.0, 1.0), (-1.0, 2.0), 0.25) == (2.5, 2.75)
+        # hand-computed with F = 0.25: (2,3) + 0.25 * ((1,1) - (-1,2)) = (2.5, 2.75)
+        assert donor_vector((2.0, 3.0), (1.0, 1.0), (-1.0, 2.0)) == (2.5, 2.75)
 
-    def test_zero_scale_returns_best(self):
-        assert donor_vector((2.0, 3.0), (5.0, 1.0), (-1.0, 9.0), 0.0) == (2.0, 3.0)
+    def test_zero_scale_returns_best(self, monkeypatch):
+        monkeypatch.setattr(de, "F", 0.0)
+        assert donor_vector((2.0, 3.0), (5.0, 1.0), (-1.0, 9.0)) == (2.0, 3.0)
 
     def test_equal_partners_return_best(self, partner_draws):
         # all non-target members share one position, so any partner draw
         # yields a zero difference vector
         population = [
-            Candidate((2.0, 3.0)),
-            Candidate((5.0, 5.0)),
-            Candidate((5.0, 5.0)),
-            Candidate((5.0, 5.0)),
+            Candidate((2.0, 3.0), 0.0),
+            Candidate((5.0, 5.0), 0.0),
+            Candidate((5.0, 5.0), 0.0),
+            Candidate((5.0, 5.0), 0.0),
         ]
         donor = mutate_best_1(population, 0, 0, random.Random(9))
         assert donor == (2.0, 3.0)
@@ -129,17 +135,17 @@ class TestMutation:
             assert r1 != target and r2 != target
 
     def test_population_too_small(self):
-        population = [Candidate((0.0,)), Candidate((1.0,))]
+        population = [Candidate((0.0,), 0.0), Candidate((1.0,), 0.0)]
         with pytest.raises(ValueError):
             mutate_best_1(population, 0, 0, random.Random(0))
 
     def test_donor_may_exit_bounds(self, monkeypatch):
         monkeypatch.setattr(de, "F", 2.0)
         population = [
-            Candidate((7.0, 7.0)),
-            Candidate((7.0, -7.0)),
-            Candidate((-7.0, 7.0)),
-            Candidate((0.0, 0.0)),
+            Candidate((7.0, 7.0), 0.0),
+            Candidate((7.0, -7.0), 0.0),
+            Candidate((-7.0, 7.0), 0.0),
+            Candidate((0.0, 0.0), 0.0),
         ]
         donor = mutate_best_1(population, 0, 3, random.Random(5))
         assert len(donor) == 2  # no clamping inside the optimizer
@@ -148,13 +154,13 @@ class TestMutation:
 class TestCrossover:
     def test_full_rate_copies_donor(self, monkeypatch):
         monkeypatch.setattr(de, "CR", 1.0)
-        target = Candidate((1.0, 2.0))
+        target = Candidate((1.0, 2.0), 0.0)
         trial = crossover(target, (9.0, 8.0), random.Random(0))
         assert trial == (9.0, 8.0)
 
     def test_zero_rate_keeps_target_except_forced_index(self, monkeypatch):
         monkeypatch.setattr(de, "CR", 0.0)
-        target = Candidate((1.0, 2.0))
+        target = Candidate((1.0, 2.0), 0.0)
         donor = (9.0, 8.0)
         for seed in range(50):
             trial = crossover(target, donor, random.Random(seed))
@@ -164,7 +170,7 @@ class TestCrossover:
             assert trial[other] == target.position[other]
 
     def test_forced_index_always_from_donor(self):
-        target = Candidate((1.0, 2.0, 3.0))
+        target = Candidate((1.0, 2.0, 3.0), 0.0)
         donor = (9.0, 8.0, 7.0)
         for seed in range(200):
             trial = crossover(target, donor, random.Random(seed))
@@ -172,7 +178,7 @@ class TestCrossover:
             assert trial[j_rand] == donor[j_rand]
 
     def test_seeded_determinism(self):
-        target = Candidate((1.0, 2.0))
+        target = Candidate((1.0, 2.0), 0.0)
         donor = (9.0, 8.0)
         first = crossover(target, donor, random.Random(42))
         second = crossover(target, donor, random.Random(42))
@@ -180,7 +186,7 @@ class TestCrossover:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            crossover(Candidate((1.0, 2.0)), (1.0,), random.Random(0))
+            crossover(Candidate((1.0, 2.0), 0.0), (1.0,), random.Random(0))
 
 
 class TestSelect:
@@ -199,23 +205,19 @@ class TestSelect:
         trial = Candidate((1.0,), 13.0)
         assert select(target, trial) is target
 
-    def test_unset_fitness_rejected(self):
-        with pytest.raises(ValueError):
-            select(Candidate((0.0,)), Candidate((1.0,), 1.0))
-
 
 class TestRun:
     def test_population_best_monotone_on_sphere(self):
         for seed in range(25):
-            _, best = de.run(sphere, seed, random_start(seed))
+            _, best = de.run(sphere, seed, random_start(seed), as_is)
             assert len(best) == 8  # init snapshot + 7 generations
             assert all(b <= a for a, b in zip(best, best[1:]))
 
     def test_trace_is_bitwise_reproducible(self):
         start = random_start(123)
         objective_a, objective_b = recording(sphere), recording(sphere)
-        best_a, per_generation_a = de.run(objective_a, 123, start)
-        best_b, per_generation_b = de.run(objective_b, 123, start)
+        best_a, per_generation_a = de.run(objective_a, 123, start, as_is)
+        best_b, per_generation_b = de.run(objective_b, 123, start, as_is)
         assert best_a == best_b
         assert per_generation_a == per_generation_b
         assert objective_a.requested == objective_b.requested
@@ -223,7 +225,7 @@ class TestRun:
     def test_partner_indices_valid_throughout(self, partner_draws):
         for seed in range(20):
             partner_draws.clear()
-            de.run(sphere, seed, random_start(seed))
+            de.run(sphere, seed, random_start(seed), as_is)
             # one draw per target, targets in population order, each generation
             assert [target for _, target, _, _ in partner_draws] == list(range(5)) * 7
             for size, target, r1, r2 in partner_draws:
@@ -244,12 +246,12 @@ class TestRun:
         monkeypatch.setattr(de, "F", 0.5)
         hits = 0
         for seed in range(20):
-            best, _ = de.run(sphere, seed, random_start(seed))
+            best, _ = de.run(sphere, seed, random_start(seed), as_is)
             hits += math.dist(best.position, (0.0, 0.0)) <= 1.0
         assert hits >= 18
 
     def test_seeded_start_keeps_known_optimum(self):
-        best, per_generation = de.run(sphere, 7, SEEDS)
+        best, per_generation = de.run(sphere, 7, SEEDS, as_is)
         assert best.fitness == 0.0
         assert per_generation[0] == 0.0
 
@@ -258,12 +260,12 @@ class TestRun:
             raise RuntimeError("objective exploded")
 
         with pytest.raises(RuntimeError, match="objective exploded"):
-            de.run(broken, 0, random_start(0))
+            de.run(broken, 0, random_start(0), as_is)
 
     def test_requests_match_budget(self):
         start = random_start(5)
         objective = recording(sphere)
-        de.run(objective, 5, start)
+        de.run(objective, 5, start, as_is)
         assert len(objective.requested) == len(start) * (1 + de.GENERATIONS)
 
     def test_repair_applies_to_every_trial_and_no_seed(self):
@@ -283,7 +285,7 @@ class TestRun:
 
     def test_generations_view_mirrors_best_per_generation(self):
         # The benchmark's tracer reads the returned list through this view.
-        _, per_generation = de.run(sphere, 3, random_start(3))
+        _, per_generation = de.run(sphere, 3, random_start(3), as_is)
         generations = per_generation.generations
         assert [g.best_fitness for g in generations] == per_generation
         assert all(g.calls == () and g.mutations == () for g in generations)

@@ -40,6 +40,11 @@ coordinates = st.one_of(
 positions = st.tuples(coordinates, coordinates)
 
 
+def rule_at(store, position):
+    """classify's rule for `position`, given the hit fitness_of passes it."""
+    return classify(store, position, store.nearest(position))
+
+
 def store_of(*entries):
     """Build a store from (position, fitness) pairs, all marked evaluated."""
     store = HistoryStore()
@@ -94,10 +99,12 @@ class TestNearest:
         assert store.nearest((0.0, 0.0)).index == 0
 
     def test_records_enter_only_through_append(self):
-        # the position index is filled by append, so a constructor that
-        # took a record list could leave it stale
+        # the position index and best_index are filled by append, so a
+        # constructor that took either could leave them stale
         with pytest.raises(TypeError):
             HistoryStore(records=[EvaluationRecord((0.0, 0.0), 1.0, EVALUATED)])
+        with pytest.raises(TypeError):
+            HistoryStore(best_index=0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -113,7 +120,7 @@ class TestNearest:
         store = HistoryStore()
         for position, earlier, queries in steps:
             store.append(EvaluationRecord(position, 1.0, EVALUATED))
-            stored = [position, store.records[earlier % len(store)].position]
+            stored = [position, store.records[earlier % len(store.records)].position]
             for query in stored + queries:
                 hit = store.nearest(query)
                 expected = linear_nearest(store, query)
@@ -147,61 +154,52 @@ class TestBestTracking:
 
 class TestClassify:
     def test_empty_store_is_unexplored(self):
-        assert classify(HistoryStore(), (3.0, 3.0)) is Rule.UNEXPLORED
+        assert rule_at(HistoryStore(), (3.0, 3.0)) is Rule.UNEXPLORED
 
     def test_far_from_everything_is_unexplored(self):
         store = store_of(((0.0, 0.0), 50.0))
-        assert classify(store, (3.0, 3.0)) is Rule.UNEXPLORED
+        assert rule_at(store, (3.0, 3.0)) is Rule.UNEXPLORED
 
     def test_near_best_is_evaluated(self):
         store = store_of(((5.0, 4.0), 10.0), ((0.0, 0.0), 90.0))
-        assert classify(store, (6.0, 4.0)) is Rule.NEAR_BEST
+        assert rule_at(store, (6.0, 4.0)) is Rule.NEAR_BEST
 
     def test_near_non_best_is_copied(self):
         # nearest is (6,0) at distance 1.0, the best is (0,0) far away
         store = store_of(((0.0, 0.0), 50.0), ((6.0, 0.0), 80.0))
         hit = store.nearest((6.0, 1.0))
         assert hit.record.position == (6.0, 0.0) and hit.index != store.best_index
-        assert classify(store, (6.0, 1.0)) is Rule.NEIGHBOR_COPY
+        assert rule_at(store, (6.0, 1.0)) is Rule.NEIGHBOR_COPY
 
     def test_best_among_equidistant_nearest_is_evaluated(self):
         # nearest() names the earlier, non-best record; the best record is
         # just as near, so the position is worth refining
         store = store_of(((1.0, 0.0), 5.0), ((-1.0, 0.0), 3.0))
         assert store.nearest((0.0, 0.0)).index != store.best_index
-        assert classify(store, (0.0, 0.0)) is Rule.NEAR_BEST
-        assert classify(store, (2.0, 0.0)) is Rule.NEIGHBOR_COPY
+        assert rule_at(store, (0.0, 0.0)) is Rule.NEAR_BEST
+        assert rule_at(store, (2.0, 0.0)) is Rule.NEIGHBOR_COPY
 
     def test_evaluated_zero_best_is_not_refined(self):
         store = store_of(((0.0, 0.0), 0.0), ((6.0, 0.0), 80.0))
-        assert classify(store, (1.0, 0.0)) is Rule.NEIGHBOR_COPY
-        assert classify(store, (0.0, 0.0)) is Rule.NEIGHBOR_COPY
-        assert classify(store, (0.0, 5.0)) is Rule.UNEXPLORED
+        assert rule_at(store, (1.0, 0.0)) is Rule.NEIGHBOR_COPY
+        assert rule_at(store, (0.0, 0.0)) is Rule.NEIGHBOR_COPY
+        assert rule_at(store, (0.0, 5.0)) is Rule.UNEXPLORED
 
     def test_estimated_zero_best_is_still_refined(self):
         store = store_of(((0.0, 0.0), 40.0))
         store.append(EvaluationRecord((2.0, 0.0), 0.0, ESTIMATED))
-        assert classify(store, (3.0, 0.0)) is Rule.NEAR_BEST
-
-    def test_given_hit_decides_like_own_scan(self):
-        rng = random.Random(6)
-        store = HistoryStore()
-        for _ in range(40):
-            position = (rng.uniform(-7, 7), rng.uniform(-7, 7))
-            hit = store.nearest(position)
-            assert classify(store, position, hit) is classify(store, position)
-            fitness_of(store, position, lambda p: float(rng.randrange(1000)))
+        assert rule_at(store, (3.0, 0.0)) is Rule.NEAR_BEST
 
     def test_threshold_distance_is_inclusive(self):
         store = store_of(((0.0, 0.0), 50.0))
-        assert classify(store, (2.5, 0.0)) is Rule.NEAR_BEST
-        assert classify(store, (2.5 + 1e-9, 0.0)) is Rule.UNEXPLORED
+        assert rule_at(store, (2.5, 0.0)) is Rule.NEAR_BEST
+        assert rule_at(store, (2.5 + 1e-9, 0.0)) is Rule.UNEXPLORED
 
     def test_pure_function_of_store_contents(self):
         store = store_of(((0.0, 0.0), 50.0), ((6.0, 0.0), 80.0))
-        rule = classify(store, (6.0, 1.0))
+        rule = rule_at(store, (6.0, 1.0))
         for _ in range(5):
-            assert classify(store, (6.0, 1.0)) is rule
+            assert rule_at(store, (6.0, 1.0)) is rule
 
 
 class TestFitnessOf:
@@ -229,7 +227,7 @@ class TestFitnessOf:
         value = fitness_of(store, (0.0, 0.0), lambda p: 1234.0)
         kind = store.records[-1].kind
         assert (value, kind) == (1234.0, EVALUATED)
-        assert len(store) == 1
+        assert len(store.records) == 1
 
     def test_near_best_invokes_objective_once(self):
         store = store_of(((2.0, 2.0), 500.0))
@@ -247,7 +245,7 @@ class TestFitnessOf:
         kind = store.records[-1].kind
         assert (value, kind) == (80.0, ESTIMATED)
         assert calls == []
-        assert len(store) == 3
+        assert len(store.records) == 3
 
     def test_duplicate_of_best_re_evaluates(self):
         store = store_of(((1.0, 1.0), 10.0), ((5.0, 5.0), 20.0))
@@ -269,7 +267,7 @@ class TestFitnessOf:
 
         with pytest.raises(RuntimeError):
             fitness_of(store, (2.0, 3.0), broken)
-        assert len(store) == 1
+        assert len(store.records) == 1
 
     def test_estimates_can_chain(self):
         # an estimated record may later serve as a copy source itself
@@ -296,7 +294,7 @@ class TestAccountingProperties:
                 fitness_of(store, position, objective)
             evaluated = sum(1 for r in store.records if r.kind == EVALUATED)
             assert calls[0] == evaluated
-            assert len(store) == 40
+            assert len(store.records) == 40
 
     def test_copy_source_lies_within_threshold(self):
         rng = random.Random(4)

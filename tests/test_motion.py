@@ -2,6 +2,8 @@
 differential-evolution search."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +195,9 @@ class TestFullSearch:
         current = random_frame(rng, 64, 64)
         previous = random_frame(rng, 64, 64)
         probe = SearchProbe()
-        result = full_search(current, previous, BlockRef(16, 16, 16), 7, probe)
+        result = search_block(
+            "fsa", current, previous, BlockRef(16, 16, 16), SearchConfig(), 0, probe
+        )
         assert len(probe.visits) == 225
         assert all(visit.kind == EVALUATED for visit in probe.visits)
         assert len({(v.u, v.v) for v in probe.visits}) == 225
@@ -902,3 +906,14 @@ class TestConfigDefaults:
         assert mv_bounds(BlockRef(16, 16, 16), 176, 144, 7) == (-7, 7, -7, 7)
         assert mv_bounds(BlockRef(0, 16, 16), 176, 144, 7) == (0, 7, -7, 7)
         assert mv_bounds(BlockRef(160, 16, 16), 176, 144, 7) == (-7, 0, -7, 7)
+
+
+def test_readme_library_example_runs(capsys):
+    # README's library example guards the public signatures it shows.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [example] = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 4
+    # the full_search line, whose comment reads: exact: mv=(3, 0), sad=0
+    assert printed[0].startswith("BlockResult(mv=MotionVector(u=3, v=0), sad=0,")

@@ -213,15 +213,15 @@ class TestReadMemory:
 class TestSynth:
     def test_static_frames_identical(self):
         params = SynthParams(width=32, height=32, frames=4, du=0, dv=0)
-        frames = list(synth_sequence("random_texture_translate", params))
+        frames = list(synth_sequence("random", params))
         assert len(frames) == 4
         for frame in frames[1:]:
             assert np.array_equal(frame, frames[0])
 
     def test_same_seed_reproduces(self):
         params = SynthParams(width=32, height=32, frames=3, du=2, dv=-1, seed=9)
-        a = list(synth_sequence("random_texture_translate", params))
-        b = list(synth_sequence("random_texture_translate", params))
+        a = list(synth_sequence("random", params))
+        b = list(synth_sequence("random", params))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -237,7 +237,7 @@ class TestSynth:
 
     def test_wraparound_is_exact_for_representable_blocks(self):
         params = SynthParams(width=64, height=48, frames=3, du=-4, dv=3, seed=2)
-        frames = list(synth_sequence("random_texture_translate", params))
+        frames = list(synth_sequence("random", params))
         for previous, current in zip(frames, frames[1:]):
             # blocks whose displaced window stays inside the frame match
             block = BlockRef(16, 0, 16)
@@ -245,8 +245,10 @@ class TestSynth:
             assert np.array_equal(window, current[0:16, 16:32])
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            list(synth_sequence("zoom", SynthParams()))
+        # the CLI's "random" is the kind's one name
+        for kind in ("zoom", "random_texture_translate"):
+            with pytest.raises(ValueError):
+                list(synth_sequence(kind, SynthParams()))
 
     def test_blur_equals_scipy_gaussian_filter(self):
         # Synthetic clips, and the acceptance data built from them, stay
