@@ -1,12 +1,16 @@
 """Differential evolution with best/1 mutation and binomial crossover.
 
-The optimizer minimizes a plain `Position -> float` objective over a
-real-valued search space of any dimension, starting from a given set of
-seed positions, one individual per seed. Every trial passes through the
-caller's repair before its fitness is requested, and every individual
-carries its fitness. The objective may return estimated rather than
-truly computed values; the optimizer does not distinguish them, so
-callers keep that accounting themselves.
+The optimizer minimizes a plain `Position -> float` objective over the
+2-D real plane, starting from a given set of seed positions, one
+individual per seed. Every trial passes through the caller's repair
+before its fitness is requested, and every individual carries its
+fitness. The objective may return estimated rather than truly computed
+values; the optimizer does not distinguish them, so callers keep that
+accounting themselves.
+
+Every random decision of a run comes from `_draws`, which reads only the
+run's seed and population size: no draw depends on a position or a
+fitness.
 
 The control parameters are the paper's reference set, fixed by design:
 F, the mutation scale factor; CR, the crossover rate; and GENERATIONS,
@@ -16,9 +20,10 @@ values is another algorithm, not a setting of this one.
 
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-Position = tuple[float, ...]
+Position = tuple[float, float]
 
 
 F = 0.25
@@ -32,94 +37,6 @@ class Candidate:
 
     position: Position
     fitness: float
-
-
-# ---------------------------------------------------------------------------
-# Operators
-# ---------------------------------------------------------------------------
-
-
-def pick_partners(
-    rng: random.Random, population_size: int, target_index: int
-) -> tuple[int, int]:
-    """Draw distinct indices r1 != r2, both different from the target."""
-    if population_size < 3:
-        raise ValueError(
-            f"population of {population_size} cannot supply two partners "
-            f"distinct from the target"
-        )
-    r1 = rng.randrange(population_size)
-    while r1 == target_index:
-        r1 = rng.randrange(population_size)
-    r2 = rng.randrange(population_size)
-    while r2 == target_index or r2 == r1:
-        r2 = rng.randrange(population_size)
-    return r1, r2
-
-
-def donor_vector(best: Position, p1: Position, p2: Position) -> Position:
-    """best + F * (p1 - p2), the scaled-difference mutation arithmetic."""
-    return tuple([b + F * (a - c) for b, a, c in zip(best, p1, p2)])
-
-
-def mutate_best_1(
-    population: Sequence[Candidate],
-    best_index: int,
-    target_index: int,
-    rng: random.Random,
-) -> Position:
-    """Donor = best + F * (partner1 - partner2), partners drawn per target.
-
-    The donor may leave the search bounds and is not clamped here: `run`
-    passes each trial through the caller's `repair` before its fitness is
-    requested. DE-BM's repair, in `motion._debm_search`, rounds and clamps
-    it onto the valid lattice with `_clamped_cell`.
-    """
-    r1, r2 = pick_partners(rng, len(population), target_index)
-    return donor_vector(
-        population[best_index].position,
-        population[r1].position,
-        population[r2].position,
-    )
-
-
-def crossover(
-    target: Candidate,
-    donor: Position,
-    rng: random.Random,
-) -> Position:
-    """Binomial crossover: each component comes from the donor with
-    probability CR, and one component drawn uniformly (j_rand) comes from
-    the donor always."""
-    if len(target.position) != len(donor):
-        raise ValueError(
-            f"target dimension {len(target.position)} != donor dimension {len(donor)}"
-        )
-    dim = len(donor)
-    j_rand = rng.randrange(dim)
-    return tuple([
-        donor[j] if rng.random() <= CR or j == j_rand else target.position[j]
-        for j in range(dim)
-    ])
-
-
-def select(target: Candidate, trial: Candidate) -> Candidate:
-    """Greedy one-to-one selection; ties go to the trial."""
-    return trial if trial.fitness <= target.fitness else target
-
-
-def best_index_of(population: Sequence[Candidate]) -> int:
-    """Index of the lowest fitness; earliest index wins ties."""
-    best = 0
-    for i in range(1, len(population)):
-        if population[i].fitness < population[best].fitness:
-            best = i
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Main loop
-# ---------------------------------------------------------------------------
 
 
 class _Generation(NamedTuple):
@@ -139,6 +56,33 @@ class _BestPerGeneration(list):
         return [_Generation(value) for value in self]
 
 
+def _draws(rng_seed: int, size: int) -> Iterator[tuple[int, int, bool, bool]]:
+    """Yield every random decision of a run: for each generation and each
+    target in population order, the partners r1 != r2, both other than
+    the target, and whether the trial takes the donor's u and v.
+
+    Binomial crossover takes a component with probability CR, and always
+    takes the one drawn as j_rand. All draws come from
+    random.Random(rng_seed), so equal seeds give equal streams.
+    """
+    rng = random.Random(rng_seed)
+    randrange, uniform = rng.randrange, rng.random
+    for _ in range(GENERATIONS):
+        for target in range(size):
+            r1 = randrange(size)
+            while r1 == target:
+                r1 = randrange(size)
+            r2 = randrange(size)
+            while r2 == target or r2 == r1:
+                r2 = randrange(size)
+            j_rand = randrange(2)
+            # uniform() runs before the j_rand test, so every draw makes
+            # both calls whatever j_rand is.
+            take_u = uniform() <= CR or j_rand == 0
+            take_v = uniform() <= CR or j_rand == 1
+            yield r1, r2, take_u, take_v
+
+
 def run(
     objective: Callable[[Position], float],
     rng_seed: int,
@@ -148,40 +92,58 @@ def run(
     """Minimize `objective` and return (best of final population,
     best_per_generation).
 
-    All stochastic decisions draw from random.Random(rng_seed), so
-    identical seeds and inputs give bitwise-identical runs.
+    Identical seeds and inputs give bitwise-identical runs.
     best_per_generation holds the population-best fitness after
     initialization and after each generation, GENERATIONS + 1 values.
     The population is the seed positions, one individual each; at least 4
     are needed so the best vector plus two mutation partners distinct from
-    the target always exist. Each generation mutates around the current
-    best (recomputed once per generation), crosses over, requests the
-    objective for every trial, and keeps the better of target and trial.
-    Each trial is replaced by `repair(trial)` before its fitness is
-    requested; the seed positions are used as given.
+    the target always exist, and each must have exactly two coordinates.
+    Each generation builds every target's donor, best + F * (p1 - p2),
+    around the best of the population it started with (the earliest on a
+    tie), crosses it over with the target, requests the objective for the
+    trial, and keeps the trial unless it is worse than the target. Each
+    trial is replaced by `repair(trial)` before its fitness is requested;
+    the donor is not clamped, and the seed positions are used as given.
     Objective errors propagate unchanged.
     """
     if len(seed_positions) < 4:
         raise ValueError(
             f"population needs at least 4 seed positions, got {len(seed_positions)}"
         )
-    rng = random.Random(rng_seed)
+    for index, seed in enumerate(seed_positions):
+        if len(seed) != 2:
+            raise ValueError(
+                f"seed position {index} has {len(seed)} coordinates, expected 2"
+            )
     population = []
-    for pos in seed_positions:
-        position = tuple(float(x) for x in pos)
+    for u, v in seed_positions:
+        position = (float(u), float(v))
         population.append(Candidate(position, objective(position)))
-    best_index = best_index_of(population)
-    best_per_generation = _BestPerGeneration([population[best_index].fitness])
+    best = min(population, key=attrgetter("fitness"))
+    best_per_generation = _BestPerGeneration([best.fitness])
 
+    draws = _draws(rng_seed, len(population))
     for _ in range(GENERATIONS):
+        best_u, best_v = best.position
         next_population = []
-        for i, target in enumerate(population):
-            donor = mutate_best_1(population, best_index, i, rng)
-            trial_position = repair(crossover(target, donor, rng))
-            trial = Candidate(trial_position, objective(trial_position))
-            next_population.append(select(target, trial))
+        # zip takes a target before it takes a draw, so it stops at the
+        # generation's end without consuming the next generation's first.
+        for target, (r1, r2, take_u, take_v) in zip(population, draws):
+            u, v = target.position
+            u1, v1 = population[r1].position
+            u2, v2 = population[r2].position
+            trial_position = repair((
+                best_u + F * (u1 - u2) if take_u else u,
+                best_v + F * (v1 - v2) if take_v else v,
+            ))
+            fitness = objective(trial_position)
+            next_population.append(
+                Candidate(trial_position, fitness)
+                if fitness <= target.fitness
+                else target
+            )
         population = next_population
-        best_index = best_index_of(population)
-        best_per_generation.append(population[best_index].fitness)
+        best = min(population, key=attrgetter("fitness"))
+        best_per_generation.append(best.fitness)
 
-    return population[best_index], best_per_generation
+    return best, best_per_generation

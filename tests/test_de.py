@@ -6,23 +6,26 @@ import random
 import pytest
 
 from blockmatch import de, estimator
-from blockmatch.de import (
-    Candidate,
-    crossover,
-    donor_vector,
-    mutate_best_1,
-    pick_partners,
-    select,
-)
+from blockmatch.de import Candidate
 
 
 def sphere(position):
     return sum(x * x for x in position)
 
 
+def tied(position):
+    """A sphere coarsened so that many trials tie with their target."""
+    u, v = position
+    return (u * u + v * v) // 4
+
+
 def as_is(position):
     """A repair that keeps every trial where crossover put it."""
     return position
+
+
+def to_integers(position):
+    return tuple(float(round(x)) for x in position)
 
 
 def recording(fn):
@@ -37,30 +40,90 @@ def recording(fn):
     return objective
 
 
+def scripted(values):
+    """An objective that returns `values` in request order and then inf,
+    which selection never keeps; it logs requests as `recording` does."""
+    remaining = iter(values)
+    return recording(lambda position: next(remaining, math.inf))
+
+
 def random_start(seed, count=5):
     """`count` start positions drawn uniformly from the +-7 box."""
     rng = random.Random(seed)
     return [(rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0)) for _ in range(count)]
 
 
-def forced_index(seed, dim):
-    """The j_rand of a crossover run on random.Random(seed): its first draw."""
-    return random.Random(seed).randrange(dim)
+# ---------------------------------------------------------------------------
+# The reference: DE/best/1/bin as separate operators over any dimension,
+# each drawing from one random.Random in the order de.run's draws follow.
+# ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def partner_draws(monkeypatch):
-    """Every de.pick_partners call as (population size, target, r1, r2)."""
-    draws = []
-    pick = de.pick_partners
+def reference_partners(rng, population_size, target_index):
+    """Draw distinct indices r1 != r2, both different from the target."""
+    r1 = rng.randrange(population_size)
+    while r1 == target_index:
+        r1 = rng.randrange(population_size)
+    r2 = rng.randrange(population_size)
+    while r2 == target_index or r2 == r1:
+        r2 = rng.randrange(population_size)
+    return r1, r2
 
-    def logged(rng, population_size, target_index):
-        r1, r2 = pick(rng, population_size, target_index)
-        draws.append((population_size, target_index, r1, r2))
-        return r1, r2
 
-    monkeypatch.setattr(de, "pick_partners", logged)
-    return draws
+def replayed_draws(seed, size):
+    """Each draw of de._draws(seed, size) as (r1, r2, j_rand), replayed on
+    random.Random(seed): partners, then j_rand, then one random() per
+    component."""
+    rng = random.Random(seed)
+    for k in range(size * de.GENERATIONS):
+        r1, r2 = reference_partners(rng, size, k % size)
+        j_rand = rng.randrange(2)
+        rng.random(), rng.random()
+        yield r1, r2, j_rand
+
+
+def reference_run(objective, rng_seed, seed_positions, repair):
+    """de.run as mutation, crossover and selection steps: returns
+    ((best position, best fitness), best_per_generation)."""
+    rng = random.Random(rng_seed)
+    population = []
+    for pos in seed_positions:
+        position = tuple(float(x) for x in pos)
+        population.append((position, objective(position)))
+
+    def best_of(population):
+        # the earliest index wins a tie
+        best = 0
+        for i in range(1, len(population)):
+            if population[i][1] < population[best][1]:
+                best = i
+        return population[best]
+
+    best = best_of(population)
+    best_per_generation = [best[1]]
+    for _ in range(de.GENERATIONS):
+        next_population = []
+        for i, (target, target_fitness) in enumerate(population):
+            r1, r2 = reference_partners(rng, len(population), i)
+            donor = [
+                b + de.F * (a - c)
+                for b, a, c in zip(best[0], population[r1][0], population[r2][0])
+            ]
+            j_rand = rng.randrange(len(donor))
+            trial = repair(tuple([
+                donor[j] if rng.random() <= de.CR or j == j_rand else target[j]
+                for j in range(len(donor))
+            ]))
+            fitness = objective(trial)
+            # greedy selection; a tie goes to the trial
+            if fitness <= target_fitness:
+                next_population.append((trial, fitness))
+            else:
+                next_population.append((target, target_fitness))
+        population = next_population
+        best = best_of(population)
+        best_per_generation.append(best[1])
+    return best, best_per_generation
 
 
 SEEDS = [(0.0, 0.0), (-4.0, 0.0), (4.0, 0.0), (0.0, -4.0), (0.0, 4.0)]
@@ -104,109 +167,129 @@ class TestInitPopulation:
 
 
 class TestMutation:
-    def test_donor_arithmetic(self):
-        # hand-computed with F = 0.25: (2,3) + 0.25 * ((1,1) - (-1,2)) = (2.5, 2.75)
-        assert donor_vector((2.0, 3.0), (1.0, 1.0), (-1.0, 2.0)) == (2.5, 2.75)
+    def test_donor_arithmetic(self, monkeypatch):
+        # hand-computed with F = 0.25: (2,3) + 0.25 * ((1,1) - (-1,2)) = (2.5, 2.75);
+        # with CR = 1 the first trial is target 0's donor, and target 0 is the best
+        monkeypatch.setattr(de, "CR", 1.0)
+        r1, r2, _, _ = next(de._draws(0, 4))
+        start = [(6.0, 6.0)] * 4
+        start[0], start[r1], start[r2] = (2.0, 3.0), (1.0, 1.0), (-1.0, 2.0)
+        objective = scripted([0.0, 5.0, 5.0, 5.0])
+        de.run(objective, 0, start, as_is)
+        assert objective.requested[4] == (2.5, 2.75)
 
     def test_zero_scale_returns_best(self, monkeypatch):
+        # with F = 0 and every component taken, each donor is the best
         monkeypatch.setattr(de, "F", 0.0)
-        assert donor_vector((2.0, 3.0), (5.0, 1.0), (-1.0, 9.0)) == (2.0, 3.0)
+        monkeypatch.setattr(de, "CR", 1.0)
+        objective = recording(sphere)
+        de.run(objective, 4, SEEDS, as_is)
+        assert set(objective.requested[5:]) == {(0.0, 0.0)}
 
-    def test_equal_partners_return_best(self, partner_draws):
+    def test_equal_partners_return_best(self, monkeypatch):
         # all non-target members share one position, so any partner draw
         # yields a zero difference vector
-        population = [
-            Candidate((2.0, 3.0), 0.0),
-            Candidate((5.0, 5.0), 0.0),
-            Candidate((5.0, 5.0), 0.0),
-            Candidate((5.0, 5.0), 0.0),
-        ]
-        donor = mutate_best_1(population, 0, 0, random.Random(9))
-        assert donor == (2.0, 3.0)
-        [(_, _, r1, r2)] = partner_draws
-        assert r1 != r2 and r1 != 0 and r2 != 0
+        monkeypatch.setattr(de, "CR", 1.0)
+        start = [(2.0, 3.0), (5.0, 5.0), (5.0, 5.0), (5.0, 5.0)]
+        objective = scripted([0.0, 5.0, 5.0, 5.0])
+        de.run(objective, 9, start, as_is)
+        assert objective.requested[4] == (2.0, 3.0)
 
     def test_partners_distinct_from_target(self):
-        rng = random.Random(1)
-        for _ in range(500):
-            target = rng.randrange(5)
-            r1, r2 = pick_partners(rng, 5, target)
-            assert r1 != r2
-            assert r1 != target and r2 != target
-
-    def test_population_too_small(self):
-        population = [Candidate((0.0,), 0.0), Candidate((1.0,), 0.0)]
-        with pytest.raises(ValueError):
-            mutate_best_1(population, 0, 0, random.Random(0))
+        for size in (4, 5, 7):
+            for seed in range(100):
+                for k, (r1, r2, _, _) in enumerate(de._draws(seed, size)):
+                    target = k % size
+                    assert r1 != r2
+                    assert r1 != target and r2 != target
+                    assert 0 <= r1 < size and 0 <= r2 < size
 
     def test_donor_may_exit_bounds(self, monkeypatch):
+        # no clamping inside the optimizer: only the repair may move a trial
         monkeypatch.setattr(de, "F", 2.0)
-        population = [
-            Candidate((7.0, 7.0), 0.0),
-            Candidate((7.0, -7.0), 0.0),
-            Candidate((-7.0, 7.0), 0.0),
-            Candidate((0.0, 0.0), 0.0),
-        ]
-        donor = mutate_best_1(population, 0, 3, random.Random(5))
-        assert len(donor) == 2  # no clamping inside the optimizer
+        corners = [(7.0, 7.0), (7.0, -7.0), (-7.0, 7.0), (0.0, 0.0)]
+        objective = recording(sphere)
+        de.run(objective, 5, corners, as_is)
+        assert any(max(abs(u), abs(v)) > 7.0 for u, v in objective.requested[4:])
 
 
 class TestCrossover:
     def test_full_rate_copies_donor(self, monkeypatch):
         monkeypatch.setattr(de, "CR", 1.0)
-        target = Candidate((1.0, 2.0), 0.0)
-        trial = crossover(target, (9.0, 8.0), random.Random(0))
-        assert trial == (9.0, 8.0)
+        for seed in range(50):
+            assert all(take_u and take_v for _, _, take_u, take_v in de._draws(seed, 5))
 
     def test_zero_rate_keeps_target_except_forced_index(self, monkeypatch):
         monkeypatch.setattr(de, "CR", 0.0)
-        target = Candidate((1.0, 2.0), 0.0)
-        donor = (9.0, 8.0)
         for seed in range(50):
-            trial = crossover(target, donor, random.Random(seed))
-            j_rand = forced_index(seed, 2)
-            assert trial[j_rand] == donor[j_rand]
-            other = 1 - j_rand
-            assert trial[other] == target.position[other]
+            for draw, (r1, r2, j_rand) in zip(de._draws(seed, 5), replayed_draws(seed, 5)):
+                assert draw == (r1, r2, j_rand == 0, j_rand == 1)
 
     def test_forced_index_always_from_donor(self):
-        target = Candidate((1.0, 2.0, 3.0), 0.0)
-        donor = (9.0, 8.0, 7.0)
         for seed in range(200):
-            trial = crossover(target, donor, random.Random(seed))
-            j_rand = forced_index(seed, 3)
-            assert trial[j_rand] == donor[j_rand]
+            for (r1, r2, *taken), replayed in zip(de._draws(seed, 5), replayed_draws(seed, 5)):
+                assert (r1, r2) == replayed[:2]
+                assert taken[replayed[2]]
 
     def test_seeded_determinism(self):
-        target = Candidate((1.0, 2.0), 0.0)
-        donor = (9.0, 8.0)
-        first = crossover(target, donor, random.Random(42))
-        second = crossover(target, donor, random.Random(42))
-        assert first == second
+        assert list(de._draws(42, 6)) == list(de._draws(42, 6))
+        assert list(de._draws(42, 6)) != list(de._draws(43, 6))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            crossover(Candidate((1.0, 2.0), 0.0), (1.0,), random.Random(0))
+        # run refuses, on entry, any seed that is not exactly (u, v)
+        for wrong in [(1.0,), (1.0, 2.0, 3.0)]:
+            objective = recording(sphere)
+            with pytest.raises(ValueError, match="seed position 3 has"):
+                de.run(objective, 0, SEEDS[:3] + [wrong] + SEEDS[3:], as_is)
+            assert objective.requested == []
+            with pytest.raises(ValueError, match="seed position 0 has"):
+                de.run(sphere, 0, [wrong] * 5, as_is)
 
 
 class TestSelect:
+    # Target 0 is the population's best at fitness 1; its trial, the first
+    # one requested, scores as given, and every later trial scores inf, so
+    # the final best shows whether that one trial was kept.
+    START = [(0.0, 0.0), (1.0, 3.0), (4.0, -2.0), (-3.0, 5.0)]
+
+    def run_first_trial(self, fitness):
+        objective = scripted([1.0, 5.0, 5.0, 5.0, fitness])
+        best, _ = de.run(objective, 2, self.START, as_is)
+        trial = objective.requested[4]
+        assert trial != self.START[0]
+        return best, trial
+
     def test_strict_improvement(self):
-        target = Candidate((0.0,), 12.0)
-        trial = Candidate((1.0,), 10.0)
-        assert select(target, trial) is trial
+        best, trial = self.run_first_trial(0.5)
+        assert best == Candidate(trial, 0.5)
 
     def test_tie_goes_to_trial(self):
-        target = Candidate((0.0,), 12.0)
-        trial = Candidate((1.0,), 12.0)
-        assert select(target, trial) is trial
+        best, trial = self.run_first_trial(1.0)
+        assert best == Candidate(trial, 1.0)
 
     def test_worse_trial_rejected(self):
-        target = Candidate((0.0,), 12.0)
-        trial = Candidate((1.0,), 13.0)
-        assert select(target, trial) is target
+        best, _ = self.run_first_trial(2.0)
+        assert best == Candidate(self.START[0], 1.0)
 
 
 class TestRun:
+    def test_matches_reference(self):
+        # every requested position, the best (position, fitness) and
+        # best_per_generation, over both start sets, both repairs and an
+        # objective whose ties exercise the rule that a tie keeps the trial
+        for seed in range(200):
+            for start in (SEEDS, random_start(seed, count=4 + seed % 4)):
+                for repair in (as_is, to_integers):
+                    for fn in (sphere, tied):
+                        objective, expected = recording(fn), recording(fn)
+                        best, per_generation = de.run(objective, seed, start, repair)
+                        (position, fitness), reference_per_generation = reference_run(
+                            expected, seed, start, repair
+                        )
+                        assert objective.requested == expected.requested
+                        assert (best.position, best.fitness) == (position, fitness)
+                        assert per_generation == reference_per_generation
+
     def test_population_best_monotone_on_sphere(self):
         for seed in range(25):
             _, best = de.run(sphere, seed, random_start(seed), as_is)
@@ -222,17 +305,24 @@ class TestRun:
         assert per_generation_a == per_generation_b
         assert objective_a.requested == objective_b.requested
 
-    def test_partner_indices_valid_throughout(self, partner_draws):
+    def test_partner_indices_valid_throughout(self):
+        # Every trial scores inf, so the population keeps its seeds and
+        # draw k's trial can be rebuilt from the seeds: draw k belongs to
+        # target k % 5, one draw per target, targets in population order,
+        # each generation.
         for seed in range(20):
-            partner_draws.clear()
-            de.run(sphere, seed, random_start(seed), as_is)
-            # one draw per target, targets in population order, each generation
-            assert [target for _, target, _, _ in partner_draws] == list(range(5)) * 7
-            for size, target, r1, r2 in partner_draws:
-                assert size == 5
-                assert r1 != r2
-                assert r1 != target
-                assert r2 != target
+            start = random_start(seed)
+            objective = scripted([sphere(p) for p in start])
+            de.run(objective, seed, start, as_is)
+            best_u, best_v = min(start, key=sphere)
+            draws = list(de._draws(seed, 5))
+            assert len(draws) == len(objective.requested[5:]) == 5 * de.GENERATIONS
+            for k, (r1, r2, take_u, take_v) in enumerate(draws):
+                (u, v), (u1, v1), (u2, v2) = start[k % 5], start[r1], start[r2]
+                assert objective.requested[5 + k] == (
+                    best_u + de.F * (u1 - u2) if take_u else u,
+                    best_v + de.F * (v1 - v2) if take_v else v,
+                )
 
     def test_converges_near_origin(self, monkeypatch):
         # The optimum sits at the origin (verified by a brute-force grid
@@ -272,16 +362,16 @@ class TestRun:
         seeds = [(0.5, 0.5), (-4.0, 0.0), (4.0, 0.0), (0.0, -4.0), (0.0, 4.0)]
         proposed = []
 
-        def to_integers(position):
+        def logged_to_integers(position):
             proposed.append(position)
-            return tuple(float(round(x)) for x in position)
+            return to_integers(position)
 
         objective = recording(sphere)
-        de.run(objective, 9, seeds, to_integers)
+        de.run(objective, 9, seeds, logged_to_integers)
         assert objective.requested[:5] == seeds
         requested = objective.requested[5:]
         assert len(proposed) == 5 * de.GENERATIONS
-        assert requested == [tuple(float(round(x)) for x in p) for p in proposed]
+        assert requested == [to_integers(p) for p in proposed]
 
     def test_generations_view_mirrors_best_per_generation(self):
         # The benchmark's tracer reads the returned list through this view.
