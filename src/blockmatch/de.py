@@ -8,9 +8,9 @@ fitness. The objective may return estimated rather than truly computed
 values; the optimizer does not distinguish them, so callers keep that
 accounting themselves.
 
-Every random decision of a run comes from `_draws`, which reads only the
-run's seed and population size: no draw depends on a position or a
-fitness.
+Every random decision of a run comes from `_draws`: random.Random(seed)'s
+Mersenne Twister output, read as randrange would draw it. It reads only the
+seed, population size and CR, and is cached per (seed, size, CR), never evicted.
 
 The control parameters are the paper's reference set, fixed by design:
 F, the mutation scale factor; CR, the crossover rate; and GENERATIONS,
@@ -20,6 +20,8 @@ values is another algorithm, not a setting of this one.
 
 import random
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -56,31 +58,37 @@ class _BestPerGeneration(list):
         return [_Generation(value) for value in self]
 
 
-def _draws(rng_seed: int, size: int) -> Iterator[tuple[int, int, bool, bool]]:
-    """Yield every random decision of a run: for each generation and each
-    target in population order, the partners r1 != r2, both other than
-    the target, and whether the trial takes the donor's u and v.
+@cache
+def _rows(size: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    return tuple(product(range(size), range(size), (False, True), (False, True)))
 
-    Binomial crossover takes a component with probability CR, and always
-    takes the one drawn as j_rand. All draws come from
-    random.Random(rng_seed), so equal seeds give equal streams.
-    """
+
+@cache
+def _table(rng_seed: int, size: int, cr: float) -> Sequence[int]:
+    """`_draws` as indices into `_rows(size)`. randrange(n) is
+    getrandbits(n.bit_length()) redrawn while >= n; so are r1, r2, j_rand."""
     rng = random.Random(rng_seed)
-    randrange, uniform = rng.randrange, rng.random
-    for _ in range(GENERATIONS):
-        for target in range(size):
-            r1 = randrange(size)
-            while r1 == target:
-                r1 = randrange(size)
-            r2 = randrange(size)
-            while r2 == target or r2 == r1:
-                r2 = randrange(size)
-            j_rand = randrange(2)
-            # uniform() runs before the j_rand test, so every draw makes
-            # both calls whatever j_rand is.
-            take_u = uniform() <= CR or j_rand == 0
-            take_v = uniform() <= CR or j_rand == 1
-            yield r1, r2, take_u, take_v
+    bits, uniform, k = rng.getrandbits, rng.random, size.bit_length()
+    codes = []
+    for target in [*range(size)] * GENERATIONS:
+        while (r1 := bits(k)) >= size or r1 == target:
+            pass
+        while (r2 := bits(k)) >= size or r2 == target or r2 == r1:
+            pass
+        while (j_rand := bits(2)) >= 2:
+            pass
+        take_u = uniform() <= cr or j_rand == 0
+        take_v = uniform() <= cr or j_rand == 1
+        codes.append((r1 * size + r2) << 2 | take_u << 1 | take_v)
+    return bytes(codes) if len(_rows(size)) <= 256 else tuple(codes)
+
+
+def _draws(rng_seed: int, size: int) -> Iterator[tuple[int, int, bool, bool]]:
+    """Yield (r1, r2, take_u, take_v) per generation and target in population
+    order: partners r1 != r2 other than the target, then whether the trial
+    takes the donor's u and v (random() <= CR, read at call time, or j_rand).
+    `_table` builds each stream once, about 200 B, and keeps it."""
+    return map(_rows(size).__getitem__, _table(rng_seed, size, CR))
 
 
 def run(

@@ -66,6 +66,8 @@ def open_sequence(source: SequenceSource) -> Iterator[np.ndarray]:
     """Yield the luminance plane of each frame as a uint8 array."""
     if source.format not in FORMATS:
         raise ValueError(f"unknown format {source.format!r}, expected {FORMATS}")
+    if source.frame_count is not None and source.frame_count < 1:
+        raise ValueError(f"frame count must be at least 1, got {source.frame_count}")
     if not os.path.exists(source.path):
         raise FileNotFoundError(f"no such sequence: {source.path}")
     if source.format == "y4m":

@@ -496,6 +496,18 @@ class TestArgumentSurface:
         assert clip.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["clip.y4m"]
 
+    @pytest.mark.parametrize("frames", ["0", "-1"])
+    def test_frame_count_below_one_rejected(self, tmp_path, capsys, frames):
+        clip = tmp_path / "clip.y4m"
+        clip.write_bytes(b"YUV4MPEG2 W16 H16 C420\n" + (b"FRAME\n" + bytes(384)) * 2)
+        status = run_cli("run", "--algo", "fsa", "--input", str(clip), "--frames", frames,
+                         "--out", str(tmp_path / "out.json"))
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"error: frame count must be at least 1, got {frames}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["clip.y4m"]
+
     @pytest.mark.parametrize("count", [0, 1])
     @pytest.mark.parametrize("command", ["run", "compare", "trace"])
     def test_clip_without_a_frame_pair_rejected(self, tmp_path, capsys, command, count):

@@ -1,5 +1,6 @@
 """Unit tests for the differential-evolution core."""
 
+import hashlib
 import math
 import random
 
@@ -71,15 +72,14 @@ def reference_partners(rng, population_size, target_index):
 
 
 def replayed_draws(seed, size):
-    """Each draw of de._draws(seed, size) as (r1, r2, j_rand), replayed on
-    random.Random(seed): partners, then j_rand, then one random() per
-    component."""
+    """Each draw of de._draws(seed, size) as (r1, r2, j_rand, x_u, x_v),
+    replayed on random.Random(seed) through randrange: partners, then
+    j_rand, then one random() per component."""
     rng = random.Random(seed)
     for k in range(size * de.GENERATIONS):
         r1, r2 = reference_partners(rng, size, k % size)
         j_rand = rng.randrange(2)
-        rng.random(), rng.random()
-        yield r1, r2, j_rand
+        yield r1, r2, j_rand, rng.random(), rng.random()
 
 
 def reference_run(objective, rng_seed, seed_positions, repair):
@@ -124,6 +124,27 @@ def reference_run(objective, rng_seed, seed_positions, repair):
         best = best_of(population)
         best_per_generation.append(best[1])
     return best, best_per_generation
+
+
+def reference_draws(seed, size):
+    """The draws reference_run makes at `seed`, as (r1, r2, take_u,
+    take_v), read back from the trials it requests. Individual i starts at
+    (2**i, 2**i), individual 0 is the best and every trial scores inf, so
+    the population never changes; with de.F at 1000 (set by the caller) a
+    taken component lands at 1 + F * (2**r1 - 2**r2), far from every
+    start, and that difference names r1 and r2."""
+    assert de.F == 1000.0
+    pairs = {2**a - 2**b: (a, b) for a in range(size) for b in range(size) if a != b}
+    start = [(2.0**i, 2.0**i) for i in range(size)]
+    objective = scripted([0.0] + [1.0] * (size - 1))
+    reference_run(objective, seed, start, as_is)
+    draws = []
+    for k, trial in enumerate(objective.requested[size:]):
+        taken = [x != t for x, t in zip(trial, start[k % size])]
+        named = {pairs[int((x - 1.0) / de.F)] for x, take in zip(trial, taken) if take}
+        assert len(named) == 1  # u and v, when both taken, name one pair
+        draws.append((*named.pop(), *taken))
+    return draws
 
 
 SEEDS = [(0.0, 0.0), (-4.0, 0.0), (4.0, 0.0), (0.0, -4.0), (0.0, 4.0)]
@@ -222,7 +243,7 @@ class TestCrossover:
     def test_zero_rate_keeps_target_except_forced_index(self, monkeypatch):
         monkeypatch.setattr(de, "CR", 0.0)
         for seed in range(50):
-            for draw, (r1, r2, j_rand) in zip(de._draws(seed, 5), replayed_draws(seed, 5)):
+            for draw, (r1, r2, j_rand, *_) in zip(de._draws(seed, 5), replayed_draws(seed, 5)):
                 assert draw == (r1, r2, j_rand == 0, j_rand == 1)
 
     def test_forced_index_always_from_donor(self):
@@ -244,6 +265,55 @@ class TestCrossover:
             assert objective.requested == []
             with pytest.raises(ValueError, match="seed position 0 has"):
                 de.run(sphere, 0, [wrong] * 5, as_is)
+
+
+# sha256 over seeds 0-2999 of repr(list(de._draws(seed, 5))), taken from the
+# generator that drew through random.Random.randrange before the table
+# replaced it; it read the same on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
+STREAM_SHA256 = "2413edc9e5f49820b5830803845e46df3755ad4f521f572551c3cd9c415f2ed7"
+
+
+class TestDrawTable:
+    def test_table_replays_randrange(self):
+        # size 8 fills the table's byte codes, and size 9 outgrows them
+        for size, seeds in [(4, 3000), (5, 3000), (6, 3000), (7, 3000), (8, 100), (9, 100)]:
+            for seed in range(seeds):
+                assert list(de._draws(seed, size)) == [
+                    (r1, r2, x_u <= de.CR or j_rand == 0, x_v <= de.CR or j_rand == 1)
+                    for r1, r2, j_rand, x_u, x_v in replayed_draws(seed, size)
+                ]
+
+    def test_table_matches_reference_run(self, monkeypatch):
+        monkeypatch.setattr(de, "F", 1000.0)
+        for size in range(4, 8):
+            for seed in range(3000):
+                assert list(de._draws(seed, size)) == reference_draws(seed, size)
+
+    def test_stream_pinned(self):
+        digest = hashlib.sha256()
+        for seed in range(3000):
+            digest.update(repr(list(de._draws(seed, 5))).encode())
+        assert digest.hexdigest() == STREAM_SHA256
+
+    def test_equal_arguments_reuse_the_table(self):
+        de._table.cache_clear()
+        first = list(de._draws(11, 5))
+        table = de._table(11, 5, de.CR)
+        before = de._table.cache_info()
+        assert list(de._draws(11, 5)) == first
+        after = de._table.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert de._table(11, 5, de.CR) is table
+
+    def test_patched_rate_read_past_a_warm_table(self, monkeypatch):
+        warm = list(de._draws(11, 5))
+        assert not all(take_u and take_v for *_, take_u, take_v in warm)
+        monkeypatch.setattr(de, "CR", 1.0)
+        assert all(take_u and take_v for *_, take_u, take_v in de._draws(11, 5))
+        monkeypatch.setattr(de, "CR", 0.0)
+        assert all(take_u != take_v for *_, take_u, take_v in de._draws(11, 5))
+        monkeypatch.undo()
+        assert list(de._draws(11, 5)) == warm
 
 
 class TestSelect:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockmatch import de, estimator, motion
+from blockmatch.cli import run_sequence
 from blockmatch.estimator import ESTIMATED, EVALUATED
 from blockmatch.motion import (
     ALGORITHMS,
@@ -32,6 +33,7 @@ from blockmatch.motion import (
     sad,
     search_block,
 )
+from blockmatch.video_io import SynthParams, synth_sequence
 
 
 def naive_sad(current, previous, block, mv):
@@ -785,6 +787,38 @@ class TestSearchBlock:
         block = BlockRef(60, 60, 16)
         with pytest.raises(ValueError, match="does not fit the 64x64 frame"):
             search_block(algorithm, frame, frame, block, SearchConfig(), 0)
+
+
+class TestDrawCache:
+    """de._draws builds each block seed's table once per process and reads
+    it back on every later frame pair; which of the two a search gets must
+    change no result."""
+
+    CONFIG = SearchConfig(rng_seed=9)
+
+    def clip(self):
+        params = SynthParams(width=64, height=48, frames=5, du=2, dv=-1, seed=6)
+        return list(synth_sequence("random", params))
+
+    def test_warm_frame_equals_cold_frame(self):
+        frames = self.clip()
+        for previous, current in zip(frames, frames[1:]):
+            de._table.cache_clear()
+            field, results = estimate_frame(current, previous, self.CONFIG, "debm")
+            built = de._table.cache_info().misses
+            assert built == len(results) == 12  # one table per block seed
+            warm_field, warm_results = estimate_frame(current, previous, self.CONFIG, "debm")
+            assert de._table.cache_info().misses == built
+            assert np.array_equal(field, warm_field) and results == warm_results
+
+    def test_cold_block_equals_warm_sequence(self):
+        frames = self.clip()
+        _, outcomes = run_sequence(frames, self.CONFIG, "debm")
+        assert outcomes[2].frame_index == 3
+        for index, block in enumerate(partition(frames[3], 16)):
+            de._table.cache_clear()
+            result = search_block("debm", frames[3], frames[2], block, self.CONFIG, index)
+            assert result == outcomes[2].results[index]
 
 
 def loop_compensate(previous, mv_field, n):
