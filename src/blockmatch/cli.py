@@ -154,6 +154,8 @@ def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
 def load_frames(args) -> list[np.ndarray]:
     """Every frame of the input; fewer than two leave no pair to predict."""
     fmt = _resolve_format(args)
+    if args.frames is not None and args.frames < 1:
+        raise ValueError(f"frame count must be at least 1, got {args.frames}")
     if fmt == "synth":
         kind, params = _parse_synth_spec(args.input, args)
         frames = list(synth_sequence(kind, params))

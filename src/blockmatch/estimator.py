@@ -13,8 +13,9 @@ chain off them.
 The store indexes its records by position: a request for a position
 already stored is answered by one lookup, and any other request measures
 its distance to each distinct stored position once, however many records
-share it. `fitness_of` looks the nearest record up once per request and
-hands it to `classify`.
+share it; ties resolve to the least (distance, first index) pair, that
+is, to the position stored first. `fitness_of` looks the nearest record
+up once per request and hands it to `classify`.
 
 D is the paper's copy threshold, fixed by design like the optimizer's
 parameters in `de`.
@@ -23,6 +24,7 @@ parameters in `de`.
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -45,6 +47,11 @@ class Rule(enum.Enum):
     NEIGHBOR_COPY = 3  # estimate: copy the nearest stored fitness
 
 
+# Bound once, in definition order: a `Rule.X` read is an enum class
+# lookup, about 0.2 us on CPython 3.11.
+_NEAR_BEST, _UNEXPLORED, _NEIGHBOR_COPY = Rule
+
+
 @dataclass(slots=True)
 class EvaluationRecord:
     position: Position
@@ -54,7 +61,8 @@ class EvaluationRecord:
     def __post_init__(self):
         if self.fitness < 0:
             raise ValueError(f"fitness must be nonnegative, got {self.fitness}")
-        if not all(map(math.isfinite, self.position)):
+        u, v = self.position
+        if not (math.isfinite(u) and math.isfinite(v)):
             raise ValueError(f"position must be finite, got {self.position}")
         if self.kind not in (EVALUATED, ESTIMATED):
             raise ValueError(f"unknown record kind {self.kind!r}")
@@ -64,6 +72,11 @@ class NearestHit(NamedTuple):
     index: int
     record: EvaluationRecord
     distance: float
+
+
+# _hit((index, record, distance)) builds a NearestHit without the Python
+# frame of the __new__ that NamedTuple generates.
+_hit = partial(tuple.__new__, NearestHit)
 
 
 @dataclass
@@ -84,10 +97,11 @@ class HistoryStore:
     positions: dict[Position, int] = field(default_factory=dict, init=False, repr=False)
 
     def append(self, record: EvaluationRecord) -> int:
-        self.records.append(record)
-        index = len(self.records) - 1
+        records = self.records
+        records.append(record)
+        index = len(records) - 1
         self.positions.setdefault(tuple(record.position), index)
-        if self.best_index is None or record.fitness < self.records[self.best_index].fitness:
+        if self.best_index is None or record.fitness < records[self.best_index].fitness:
             self.best_index = index
         return index
 
@@ -95,23 +109,22 @@ class HistoryStore:
         return None if self.best_index is None else self.records[self.best_index]
 
     def nearest(self, position: Position) -> NearestHit | None:
-        """Closest record by Euclidean distance. Of equally near distinct
-        positions the one stored first wins, and of the records at that
-        position the earliest; so the earliest insertion wins every tie.
-        None iff the store is empty.
+        """Closest record by Euclidean distance: of each distinct position's
+        earliest record, the one with the least (distance, index) pair, so
+        the earliest insertion wins every tie. None iff the store is empty.
 
         A stored position is found by lookup at distance 0.0; otherwise
         each distinct position is measured once.
         """
         index = self.positions.get(tuple(position))
         if index is not None:
-            return NearestHit(index, self.records[index], 0.0)
+            return _hit((index, self.records[index], 0.0))
         if not self.positions:
             return None
         distances = list(map(math.dist, self.positions, repeat(position)))
         distance = min(distances)
         index = list(self.positions.values())[distances.index(distance)]
-        return NearestHit(index, self.records[index], distance)
+        return _hit((index, self.records[index], distance))
 
 
 def classify(store: HistoryStore, position: Position, hit: NearestHit | None) -> Rule:
@@ -127,16 +140,14 @@ def classify(store: HistoryStore, position: Position, hit: NearestHit | None) ->
     least fitness a record can hold, cannot be refined, so a position
     near it is a NEIGHBOR_COPY too.
     """
-    if hit is None or hit.distance > D:
-        return Rule.UNEXPLORED
-    best = store.best()
+    if hit is None or hit[2] > D:
+        return _UNEXPLORED
+    best = store.records[store.best_index]
     if best.fitness == 0 and best.kind == EVALUATED:
-        return Rule.NEIGHBOR_COPY
-    if hit.index == store.best_index or (
-        math.dist(best.position, position) == hit.distance
-    ):
-        return Rule.NEAR_BEST
-    return Rule.NEIGHBOR_COPY
+        return _NEIGHBOR_COPY
+    if hit[0] == store.best_index or math.dist(best.position, position) == hit[2]:
+        return _NEAR_BEST
+    return _NEIGHBOR_COPY
 
 
 def fitness_of(
@@ -156,8 +167,8 @@ def fitness_of(
     store as-is.
     """
     hit = store.nearest(position)
-    if classify(store, position, hit) is Rule.NEIGHBOR_COPY:
-        value = hit.record.fitness
+    if classify(store, position, hit) is _NEIGHBOR_COPY:
+        value = hit[1].fitness
         kind = ESTIMATED
     else:
         value = float(objective(position))

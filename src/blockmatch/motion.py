@@ -222,7 +222,9 @@ def _sad_wide(
     """SAD of one candidate, summed by `_abs_sum`; cur and windows come
     from _widen."""
     x, y, n = block
-    return int(_abs_sum(cur[y : y + n, x : x + n] - windows[y + v, x + u], None, n))
+    diff = cur[y : y + n, x : x + n] - windows[y + v, x + u]
+    # one axis of the fresh, contiguous difference reduces faster than None
+    return int(_abs_sum(diff.ravel(), 0, n))
 
 
 def sad(
@@ -350,9 +352,11 @@ def _clamped_cell(
     inside the frame."""
     umin, umax, vmin, vmax = bounds
     x, y = position
-    u = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-    v = math.floor(y + 0.5) if y >= 0 else math.ceil(y - 0.5)
-    return min(max(u, umin), umax), min(max(v, vmin), vmax)
+    # int truncates toward zero: floor for x + 0.5 > 0, ceil for x - 0.5 < 0
+    u = int(x + 0.5) if x >= 0 else int(x - 0.5)
+    v = int(y + 0.5) if y >= 0 else int(y - 0.5)
+    return (umin if u < umin else umax if u > umax else u,
+            vmin if v < vmin else vmax if v > vmax else v)
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,22 +411,18 @@ def _debm_search(
         # cost; it moves to the nearest cell not yet requested, and among
         # equally near ones to the one nearest the trial itself.
         cell = u, v = _clamped_cell(position, bounds)
-        if cell == store.best().position:
-            found = None  # (squared offset, squared gap to the trial, cell)
+        if cell == store.records[store.best_index].position:
+            x, y = position
+            # squared offset and squared gap to the trial of the cell found
+            reach = gap = math.inf
             for du, dv, ring in offsets:
-                if found is not None and ring > found[0]:
+                if ring > reach:
                     break
-                fresh = (u + du, v + dv)
-                if (
-                    umin <= fresh[0] <= umax
-                    and vmin <= fresh[1] <= vmax
-                    and fresh not in requested
-                ):
-                    gap = (fresh[0] - position[0]) ** 2 + (fresh[1] - position[1]) ** 2
-                    if found is None or gap < found[1]:
-                        found = (ring, gap, fresh)
-            if found is not None:
-                cell = found[2]
+                fu, fv = u + du, v + dv
+                if umin <= fu <= umax and vmin <= fv <= vmax and (fu, fv) not in requested:
+                    fresh_gap = (fu - x) ** 2 + (fv - y) ** 2
+                    if fresh_gap < gap:
+                        reach, gap, cell = ring, fresh_gap, (fu, fv)
         # float coordinates keep the DE arithmetic on CPython's float fast path
         return float(cell[0]), float(cell[1])
 

@@ -421,11 +421,8 @@ class TestArgumentSurface:
         assert "'static'" in err and "translate" in err and "random" in err
         assert "random_texture_translate" not in err
 
-    @pytest.mark.parametrize(
-        "geometry",
-        [("--frames", "0"), ("--width", "0", "--height", "0")],
-        ids=["frames", "size"],
-    )
+    # an explicit --frames 0 is test_synth_frame_count_below_one_rejected's
+    @pytest.mark.parametrize("geometry", [("--width", "0", "--height", "0")], ids=["size"])
     def test_explicit_zero_synth_geometry_rejected(self, geometry, capsys):
         status = run_cli(
             "run",
@@ -507,6 +504,18 @@ class TestArgumentSurface:
             f"error: frame count must be at least 1, got {frames}\n"
         )
         assert [p.name for p in tmp_path.iterdir()] == ["clip.y4m"]
+
+    @pytest.mark.parametrize("frames", ["0", "-1"])
+    def test_synth_frame_count_below_one_rejected(self, tmp_path, capsys, frames):
+        # synth input names the bound in the words Y4M and YUV input use
+        status = run_cli("run", "--algo", "fsa", "--format", "synth", "--input", "random:1,1",
+                         "--frames", frames, "--width", "32", "--height", "32",
+                         "--out", str(tmp_path / "out.json"))
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"error: frame count must be at least 1, got {frames}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("count", [0, 1])
     @pytest.mark.parametrize("command", ["run", "compare", "trace"])

@@ -2,7 +2,9 @@
 differential-evolution search."""
 
 import dataclasses
+import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +327,49 @@ class TestDebmFrame:
         result = search_block("debm", current, previous, block, SearchConfig(), 0)
         assert len(calls) == result.evaluations + result.estimations == 40
 
+    def test_frame_makes_every_call_the_benchmark_tracer_hooks(self, monkeypatch):
+        # bench/tracing.py replaces these module and class attributes with
+        # counting wrappers; its per-block, per-request and per-SAD figures
+        # hold only while a frame run calls each of them this often.
+        calls = Counter()
+        sad_args = []
+        hooks = [
+            (motion, "_debm_search"),
+            (de, "run"),
+            (estimator, "fitness_of"),
+            (estimator.HistoryStore, "nearest"),
+            (estimator, "classify"),
+            (motion, "_sad_wide"),
+        ]
+        for owner, name in hooks:
+            def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                if _name == "_sad_wide":
+                    sad_args.append((args, kwargs))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        rng = np.random.default_rng(27)
+        previous, current = random_frame(rng, 48, 64), random_frame(rng, 48, 64)
+        config = SearchConfig(w=4, n=16, rng_seed=3)
+        _, results = estimate_frame(current, previous, config, "debm")
+        blocks = len(partition(current, config.n))
+        requests = 5 * (de.GENERATIONS + 1) * blocks
+        assert calls == {
+            "_debm_search": blocks,
+            "run": blocks,
+            "fitness_of": requests,
+            "nearest": requests,
+            "classify": requests,
+            "_sad_wide": sum(r.evaluations for r in results),
+        }
+        # the tracer's SAD wrapper takes (cur, windows, block, u, v) by
+        # position and reads the cell from args[3:5]
+        assert all(
+            len(args) == 5 and not kwargs and all(type(c) is int for c in args[3:5])
+            for args, kwargs in sad_args
+        )
+
 
 class TestInitialPattern:
     def test_default_window_pattern(self):
@@ -364,6 +409,32 @@ class TestLatticeProjection:
     def test_clamps_to_frame_validity(self):
         corner = BlockRef(0, 0, 16)
         assert _clamped_cell((-3.0, -3.0), mv_bounds(corner, *self.FRAME, 7)) == (0, 0)
+
+    # Trials sit on quarter steps at F = 0.25, within [-2w-1, 2w+1]; half
+    # steps and signed zeros probe the rounding, free floats the clamp.
+    W = 7
+    coordinates = st.one_of(
+        st.integers(-4 * (2 * W + 1), 4 * (2 * W + 1)).map(lambda k: k / 4),
+        st.sampled_from([0.5, -0.5, 2.5, -2.5, -0.0]),
+        st.floats(-100.0, 100.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        coordinates,
+        coordinates,
+        st.tuples(st.integers(-W, 0), st.integers(0, W), st.integers(-W, 0), st.integers(0, W)),
+    )
+    def test_matches_round_half_away_then_clamp(self, x, y, bounds):
+        def rule(c, low, high):
+            rounded = math.floor(c + 0.5) if c >= 0 else math.ceil(c - 0.5)
+            return min(max(rounded, low), high)
+
+        umin, umax, vmin, vmax = bounds
+        cell = _clamped_cell((x, y), bounds)
+        assert cell == (rule(x, umin, umax), rule(y, vmin, vmax))
+        assert all(type(c) is int for c in cell)
 
     def test_result_always_valid(self):
         rng = np.random.default_rng(8)
