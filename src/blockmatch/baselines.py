@@ -8,6 +8,8 @@ twice, and report the same per-block accounting as the other algorithms.
 is exactly the one `motion.sad` computes, summed by `motion._abs_sum`.
 """
 
+import numpy as np
+
 from .estimator import EVALUATED
 from .motion import (
     BlockRef,
@@ -23,32 +25,31 @@ from .motion import (
 # every recentering a strict improvement and guarantees termination.
 _LARGE_DIAMOND = ((0, 0), (0, -2), (-1, -1), (1, -1), (-2, 0), (2, 0), (-1, 1), (1, 1), (0, 2))
 _SMALL_DIAMOND = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
+# Three-step search's 9-point grid in v-major order, scaled by each step.
+_GRID = tuple((du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1))
 
 
 class _CachedCost:
-    """SAD with a per-search visited-position cache and validity guard.
-    A call takes one pattern step's distinct valid cells, costs the unseen
-    ones in one gather of their patches from the window view, adding them
-    to `seen` in visit order, and returns the step's SADs in order, summed
-    by `_abs_sum`."""
+    """SAD with a per-search visited-position cache. A call takes one
+    pattern step's distinct cells inside `bounds`, the valid box, costs
+    the unseen ones in one gather of their patches from the window view,
+    adding them to `seen` in visit order, and returns the step's SADs in
+    order, summed by `_abs_sum`."""
 
     def __init__(self, cur, windows, block, w):
-        self.cur = cur
+        x, y, n = self.block = block
+        self.target = cur[y : y + n, x : x + n]
         self.windows = windows
-        self.block = block
         self.bounds = _bounds(windows, block, w)
         self.seen: dict[tuple[int, int], int] = {}
-
-    def valid(self, u: int, v: int) -> bool:
-        umin, umax, vmin, vmax = self.bounds
-        return umin <= u <= umax and vmin <= v <= vmax
 
     def __call__(self, cells: list[tuple[int, int]]) -> list[int]:
         fresh = [cell for cell in cells if cell not in self.seen]
         if fresh:
             x, y, n = self.block
-            diff = self.windows[[y + v for _, v in fresh], [x + u for u, _ in fresh]]
-            diff -= self.cur[y : y + n, x : x + n]
+            # index arrays gather faster than lists, which numpy converts
+            diff = self.windows[np.array([y + v for _, v in fresh]), np.array([x + u for u, _ in fresh])]
+            diff -= self.target
             self.seen.update(zip(fresh, _abs_sum(diff, (1, 2), n).tolist()))
         return [self.seen[cell] for cell in cells]
 
@@ -60,10 +61,12 @@ class _CachedCost:
 
 
 def _scan_min(cost: _CachedCost, center, offsets, scale=1):
-    """Evaluate the pattern around the center and return the first-scanned
-    minimum in pattern-definition order."""
-    cells = [(center[0] + du * scale, center[1] + dv * scale) for du, dv in offsets]
-    cells = [cell for cell in cells if cost.valid(*cell)]
+    """Evaluate the pattern's cells inside the box around the center and
+    return the first-scanned minimum in pattern-definition order."""
+    umin, umax, vmin, vmax = cost.bounds
+    cu, cv = center
+    cells = [(u, v) for du, dv in offsets if umin <= (u := cu + du * scale) <= umax
+             and vmin <= (v := cv + dv * scale) <= vmax]
     values = cost(cells)
     return cells[values.index(min(values))]
 
@@ -73,16 +76,13 @@ def _tss_search(cur, windows, block: BlockRef, w: int, probe: SearchProbe | None
     recentered on the running minimum. At w=7 the steps are 4, 2, 1 for at
     most 25 distinct candidates."""
     cost = _CachedCost(cur, windows, block, w)
-    offsets = tuple(
-        (du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)
-    )
     center = (0, 0)
     # The origin goes first on its own: the first grid lists it fifth, so
     # leaving it to that grid would reorder the visits a trace records.
     cost([center])
     step = (w + 1) // 2
     while step >= 1:
-        center = _scan_min(cost, center, offsets, step)
+        center = _scan_min(cost, center, _GRID, step)
         step //= 2
     return cost.result(*center, probe)
 

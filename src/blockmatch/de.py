@@ -3,10 +3,11 @@
 The optimizer minimizes a plain `Position -> float` objective over the
 2-D real plane, starting from a given set of seed positions, one
 individual per seed. Every trial passes through the caller's repair
-before its fitness is requested, and every individual carries its
-fitness. The objective may return estimated rather than truly computed
-values; the optimizer does not distinguish them, so callers keep that
-accounting themselves.
+before its fitness is requested. A run holds its population as two
+lists, positions and fitnesses, and builds one `Candidate`, for the
+best individual it returns. The objective may return estimated rather
+than truly computed values; the optimizer does not distinguish them, so
+callers keep that accounting themselves.
 
 Every random decision of a run comes from `_draws`: random.Random(seed)'s
 Mersenne Twister output, read as randrange would draw it. It reads only the
@@ -22,7 +23,6 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 Position = tuple[float, float]
@@ -97,13 +97,14 @@ def run(
     seed_positions: Sequence[Sequence[float]],
     repair: Callable[[Position], Position],
 ) -> tuple[Candidate, list[float]]:
-    """Minimize `objective` and return (best of final population,
-    best_per_generation).
+    """Minimize `objective` and return (best of final population, as a
+    Candidate, best_per_generation).
 
     Identical seeds and inputs give bitwise-identical runs.
     best_per_generation holds the population-best fitness after
     initialization and after each generation, GENERATIONS + 1 values.
-    The population is the seed positions, one individual each; at least 4
+    The population is the seed positions, one individual each, held as
+    a list of positions and a list of their fitnesses; at least 4
     are needed so the best vector plus two mutation partners distinct from
     the target always exist, and each must have exactly two coordinates.
     Each generation builds every target's donor, best + F * (p1 - p2),
@@ -123,35 +124,33 @@ def run(
             raise ValueError(
                 f"seed position {index} has {len(seed)} coordinates, expected 2"
             )
-    population = []
-    for u, v in seed_positions:
-        position = (float(u), float(v))
-        population.append(Candidate(position, objective(position)))
-    best = min(population, key=attrgetter("fitness"))
-    best_per_generation = _BestPerGeneration([best.fitness])
+    positions = [(float(u), float(v)) for u, v in seed_positions]
+    fitnesses = [objective(position) for position in positions]
+    # min, then index, finds the earliest individual of least fitness
+    best_fitness = min(fitnesses)
+    best_per_generation = _BestPerGeneration([best_fitness])
 
-    draws = _draws(rng_seed, len(population))
+    draws = _draws(rng_seed, len(positions))
     for _ in range(GENERATIONS):
-        best_u, best_v = best.position
-        next_population = []
+        best_u, best_v = positions[fitnesses.index(best_fitness)]
+        next_positions, next_fitnesses = [], []
         # zip takes a target before it takes a draw, so it stops at the
         # generation's end without consuming the next generation's first.
-        for target, (r1, r2, take_u, take_v) in zip(population, draws):
-            u, v = target.position
-            u1, v1 = population[r1].position
-            u2, v2 = population[r2].position
-            trial_position = repair((
+        for target, target_fitness, (r1, r2, take_u, take_v) in zip(positions, fitnesses, draws):
+            u, v = target
+            u1, v1 = positions[r1]
+            u2, v2 = positions[r2]
+            trial = repair((
                 best_u + F * (u1 - u2) if take_u else u,
                 best_v + F * (v1 - v2) if take_v else v,
             ))
-            fitness = objective(trial_position)
-            next_population.append(
-                Candidate(trial_position, fitness)
-                if fitness <= target.fitness
-                else target
-            )
-        population = next_population
-        best = min(population, key=attrgetter("fitness"))
-        best_per_generation.append(best.fitness)
+            fitness = objective(trial)
+            if fitness <= target_fitness:
+                target, target_fitness = trial, fitness
+            next_positions.append(target)
+            next_fitnesses.append(target_fitness)
+        positions, fitnesses = next_positions, next_fitnesses
+        best_fitness = min(fitnesses)
+        best_per_generation.append(best_fitness)
 
-    return best, best_per_generation
+    return Candidate(positions[fitnesses.index(best_fitness)], best_fitness), best_per_generation

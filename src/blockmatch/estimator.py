@@ -87,9 +87,7 @@ class HistoryStore:
     best_index always points at the minimal fitness over all records,
     evaluated and estimated alike; ties keep the earliest insertion.
     `positions` maps each distinct stored position, in the order it was
-    first stored, to the index of its earliest record. `fitness_of`
-    appends every request, so DE-BM's repair reads `positions` as the set
-    of positions requested so far.
+    first stored, to the index of its earliest record.
     """
 
     records: list[EvaluationRecord] = field(default_factory=list, init=False)

@@ -360,17 +360,51 @@ def _clamped_cell(
 
 
 @functools.lru_cache(maxsize=None)
-def _offsets_nearest_first(reach: int) -> tuple[tuple[int, int, int], ...]:
-    """(du, dv, du^2 + dv^2) for every nonzero offset between two cells of
-    a box whose sides span at most `reach` steps, by increasing length;
-    equal lengths keep v-major scan order."""
-    span = range(-reach, reach + 1)
-    return tuple(
-        sorted(
-            ((du, dv, du * du + dv * dv) for dv in span for du in span if du or dv),
-            key=lambda offset: offset[2],
-        )
-    )
+def _steps_nearest_first(reach: int) -> tuple[tuple[int, int], ...]:
+    """(dv * (3 * reach + 1) + du, du^2 + dv^2), the step in `_Requested`'s
+    grid and the squared length, for every nonzero offset (du, dv) within
+    `reach`, by increasing length; equal lengths keep v-major scan order."""
+    span, stride = range(-reach, reach + 1), 3 * reach + 1
+    steps = [(dv * stride + du, du * du + dv * dv) for dv in span for du in span if du or dv]
+    return tuple(sorted(steps, key=lambda step: step[1]))
+
+
+class _Requested:
+    """The cells of a block's (umin, umax, vmin, vmax) box requested so far,
+    `seeds` first, as a bytearray grid in rows 3 * reach + 1 wide: box cells
+    read 0 until marked, inside a padding of 1s `reach` cells deep, so a cell
+    within `reach` of a box cell reads 0 iff it is in the box and unrequested."""
+
+    def __init__(self, bounds: tuple[int, int, int, int], seeds: Sequence[tuple[int, int]]):
+        umin, umax, vmin, vmax = bounds
+        reach = max(umax - umin, vmax - vmin)
+        self.steps, self.stride = _steps_nearest_first(reach), 3 * reach + 1
+        self.u0, self.v0 = umin - reach, vmin - reach  # the cell at index 0
+        row = (b"\1" * reach + bytes(umax - umin + 1)).ljust(self.stride, b"\1")
+        pad = b"\1" * (reach * self.stride)
+        self.grid = bytearray(pad + row * (vmax - vmin + 1) + pad)
+        for u, v in seeds:
+            self.grid[self.index(u, v)] = 1
+
+    def index(self, u: int, v: int) -> int:
+        return (v - self.v0) * self.stride + u - self.u0
+
+    def nearest_free(self, u: int, v: int, x: float, y: float) -> tuple[int, int]:
+        """The unrequested box cell nearest the box cell (u, v), by least
+        (squared offset, squared gap to (x, y), step order), or (u, v)
+        when every other cell is requested."""
+        grid, stride, at = self.grid, self.stride, self.index(u, v)
+        ring_found, gap, cell = math.inf, math.inf, (u, v)
+        for step, ring in self.steps:
+            if ring > ring_found:
+                break
+            if not grid[at + step]:
+                fv, fu = divmod(at + step, stride)
+                fu, fv = fu + self.u0, fv + self.v0
+                fresh_gap = (fu - x) ** 2 + (fv - y) ** 2
+                if fresh_gap < gap:
+                    ring_found, gap, cell = ring, fresh_gap, (fu, fv)
+        return cell
 
 
 def _debm_search(
@@ -396,15 +430,13 @@ def _debm_search(
     no extra evaluation is spent.
     """
     bounds = _bounds(windows, block, w)
-    umin, umax, vmin, vmax = bounds
-    offsets = _offsets_nearest_first(max(umax - umin, vmax - vmin))
     store = HistoryStore()
-    # fitness_of appends every request, so the store's position index
-    # holds every cell requested so far.
-    requested = store.positions
     # Individuals live on the valid lattice, so every requested position
     # is already a cell and the objective needs no projection.
     seeds = [_clamped_cell(p, bounds) for p in initial_pattern(w)]
+    # every request is a seed or a trial that repair marks as it returns it
+    requested = _Requested(bounds, seeds)
+    grid, index = requested.grid, requested.index
 
     def repair(position: Position) -> Position:
         # A trial on the incumbent's cell would only re-evaluate a known
@@ -412,19 +444,10 @@ def _debm_search(
         # equally near ones to the one nearest the trial itself.
         cell = u, v = _clamped_cell(position, bounds)
         if cell == store.records[store.best_index].position:
-            x, y = position
-            # squared offset and squared gap to the trial of the cell found
-            reach = gap = math.inf
-            for du, dv, ring in offsets:
-                if ring > reach:
-                    break
-                fu, fv = u + du, v + dv
-                if umin <= fu <= umax and vmin <= fv <= vmax and (fu, fv) not in requested:
-                    fresh_gap = (fu - x) ** 2 + (fv - y) ** 2
-                    if fresh_gap < gap:
-                        reach, gap, cell = ring, fresh_gap, (fu, fv)
+            u, v = requested.nearest_free(u, v, *position)
+        grid[index(u, v)] = 1
         # float coordinates keep the DE arithmetic on CPython's float fast path
-        return float(cell[0]), float(cell[1])
+        return float(u), float(v)
 
     def objective(position: Position) -> float:
         u, v = position
@@ -541,7 +564,7 @@ def estimate_frame(
 
     # partition's row-major order is the grid's.
     rows, cols = grid_shape(current.shape, config.n)
-    return np.array([r.mv for r in results], np.int32).reshape(rows, cols, 2), results
+    return np.array([c for r in results for c in r.mv], np.int32).reshape(rows, cols, 2), results
 
 
 def compensate(previous: np.ndarray, mv_field: np.ndarray, n: int) -> np.ndarray:

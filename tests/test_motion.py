@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockmatch import de, estimator, motion
@@ -565,14 +565,32 @@ class TestDebmSearch:
         rng = np.random.default_rng(27)
         current, previous = random_frame(rng, 48, 48), random_frame(rng, 48, 48)
         reaches = []
-        table = motion._offsets_nearest_first
+        table = motion._steps_nearest_first
         monkeypatch.setattr(
-            motion, "_offsets_nearest_first", lambda reach: reaches.append(reach) or table(reach)
+            motion, "_steps_nearest_first", lambda reach: reaches.append(reach) or table(reach)
         )
         wide = estimate_frame(current, previous, SearchConfig(w=60, n=16, rng_seed=5), "debm")
         assert reaches and max(reaches) <= 32
         narrow = estimate_frame(current, previous, SearchConfig(w=40, n=16, rng_seed=5), "debm")
         assert np.array_equal(wide[0], narrow[0]) and wide[1] == narrow[1]
+
+    def test_step_table_is_cached_per_reach(self):
+        # The repair's step table depends on the reach alone, so a frame
+        # whose blocks have four box shapes but two reaches builds two.
+        rng = np.random.default_rng(28)
+        current, previous = random_frame(rng, 48, 48), random_frame(rng, 48, 48)
+        shapes = {
+            (umax - umin, vmax - vmin)
+            for umin, umax, vmin, vmax in (
+                mv_bounds(block, 48, 48, 7) for block in partition(current, 16)
+            )
+        }
+        assert len(shapes) >= 3
+        motion._steps_nearest_first.cache_clear()
+        estimate_frame(current, previous, SearchConfig(w=7, n=16, rng_seed=5), "debm")
+        assert motion._steps_nearest_first.cache_info().currsize == len(
+            {max(shape) for shape in shapes}
+        )
 
     def test_never_beats_exhaustive_search(self):
         rng = np.random.default_rng(16)
@@ -596,6 +614,71 @@ class TestDebmSearch:
         assert estimated == result.estimations
         fits = probe.best_per_generation
         assert all(b <= a for a, b in zip(fits, fits[1:]))
+
+
+def dict_ring_scan(cell, position, bounds, requested):
+    """Reference for the repair's scan: every nonzero offset within the
+    box's reach by increasing ring, v-major within a ring, each tested
+    against the box and a dict of requested cells. The least (ring,
+    squared gap to the trial, table order) wins; with no free cell the
+    trial keeps its cell."""
+    umin, umax, vmin, vmax = bounds
+    reach = max(umax - umin, vmax - vmin)
+    span = range(-reach, reach + 1)
+    offsets = sorted(
+        ((du, dv, du * du + dv * dv) for dv in span for du in span if du or dv),
+        key=lambda offset: offset[2],
+    )
+    (u, v), (x, y) = cell, position
+    ring_found = gap = math.inf
+    for du, dv, ring in offsets:
+        if ring > ring_found:
+            break
+        fu, fv = u + du, v + dv
+        if umin <= fu <= umax and vmin <= fv <= vmax and (fu, fv) not in requested:
+            fresh_gap = (fu - x) ** 2 + (fv - y) ** 2
+            if fresh_gap < gap:
+                ring_found, gap, cell = ring, fresh_gap, (fu, fv)
+    return cell
+
+
+@st.composite
+def ring_scans(draw):
+    """A box (1-wide sides included, not always around the origin), a
+    requested set holding the scanned cell, from none to every other cell
+    of the box, and a trial position: quarter steps from the cell, which
+    tie often on ring and gap, or any float within 30 px."""
+    umin, vmin = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+    bounds = (umin, umin + draw(st.integers(0, 9)), vmin, vmin + draw(st.integers(0, 9)))
+    cells = [
+        (u, v)
+        for v in range(bounds[2], bounds[3] + 1)
+        for u in range(bounds[0], bounds[1] + 1)
+    ]
+    cell = draw(st.sampled_from(cells))
+    density = draw(st.sampled_from([0.0, 0.3, 0.8, 0.95, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    requested = {c for c in cells if c == cell or rng.random() < density}
+    offset = st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.floats(-30, 30))
+    position = (cell[0] + draw(offset), cell[1] + draw(offset))
+    return bounds, requested, cell, position
+
+
+class TestRepairGrid:
+    @settings(max_examples=400, deadline=None)
+    @given(ring_scans())
+    # the four ring-1 cells tie on gap; the table's first, (0, -1), wins
+    @example(((-2, 2, -2, 2), {(0, 0)}, (0, 0), (0.0, 0.0)))
+    # a 1-wide box with every cell requested keeps the trial's cell
+    @example(((3, 3, -1, 1), {(3, -1), (3, 0), (3, 1)}, (3, 0), (3.25, 0.0)))
+    def test_matches_dict_ring_scan(self, scan):
+        bounds, requested, cell, position = scan
+        grid = motion._Requested(bounds, sorted(requested))
+        expected = dict_ring_scan(cell, position, bounds, dict.fromkeys(requested))
+        assert grid.nearest_free(*cell, *position) == expected
+        umin, umax, vmin, vmax = bounds
+        if len(requested) == (umax - umin + 1) * (vmax - vmin + 1):
+            assert expected == cell
 
 
 def integer_pair(height, width, du, dv):
