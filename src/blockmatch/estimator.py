@@ -87,7 +87,8 @@ class HistoryStore:
     best_index always points at the minimal fitness over all records,
     evaluated and estimated alike; ties keep the earliest insertion.
     `positions` maps each distinct stored position, in the order it was
-    first stored, to the index of its earliest record.
+    first stored, to the index of its earliest record; DE-BM's repair
+    reads it as the set of cells requested so far.
     """
 
     records: list[EvaluationRecord] = field(default_factory=list, init=False)

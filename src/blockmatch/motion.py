@@ -10,7 +10,7 @@ the matching cost is the sum of absolute differences over the block.
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Container, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,6 +88,7 @@ class CellVisit(NamedTuple):
 class SearchProbe:
     """Optional diagnostics collector for one `search_block` call, the
     package's one diagnostics path; passing one never changes a result.
+    A probe serves one call: `search_block` refuses one that holds data.
 
     visits: the cells the search obtained a cost for, in order, each
         tagged EVALUATED or ESTIMATED; fsa, tss and ds list a cell once.
@@ -360,51 +361,37 @@ def _clamped_cell(
 
 
 @functools.lru_cache(maxsize=None)
-def _steps_nearest_first(reach: int) -> tuple[tuple[int, int], ...]:
-    """(dv * (3 * reach + 1) + du, du^2 + dv^2), the step in `_Requested`'s
-    grid and the squared length, for every nonzero offset (du, dv) within
+def _offsets_nearest_first(reach: int) -> tuple[tuple[int, int, int], ...]:
+    """(du, dv, du^2 + dv^2) for every nonzero offset with |du|, |dv| <=
     `reach`, by increasing length; equal lengths keep v-major scan order."""
-    span, stride = range(-reach, reach + 1), 3 * reach + 1
-    steps = [(dv * stride + du, du * du + dv * dv) for dv in span for du in span if du or dv]
-    return tuple(sorted(steps, key=lambda step: step[1]))
+    span = range(-reach, reach + 1)
+    offsets = [(du, dv, du * du + dv * dv) for dv in span for du in span if du or dv]
+    return tuple(sorted(offsets, key=lambda offset: offset[2]))
 
 
-class _Requested:
-    """The cells of a block's (umin, umax, vmin, vmax) box requested so far,
-    `seeds` first, as a bytearray grid in rows 3 * reach + 1 wide: box cells
-    read 0 until marked, inside a padding of 1s `reach` cells deep, so a cell
-    within `reach` of a box cell reads 0 iff it is in the box and unrequested."""
+# A repair runs before its trial is requested, so at most this many cells, 39,
+# are requested when it does: the pattern's and every earlier trial's.
+_REPAIR_REACH = len(initial_pattern(1)) * (de.GENERATIONS + 1) - 1
 
-    def __init__(self, bounds: tuple[int, int, int, int], seeds: Sequence[tuple[int, int]]):
-        umin, umax, vmin, vmax = bounds
-        reach = max(umax - umin, vmax - vmin)
-        self.steps, self.stride = _steps_nearest_first(reach), 3 * reach + 1
-        self.u0, self.v0 = umin - reach, vmin - reach  # the cell at index 0
-        row = (b"\1" * reach + bytes(umax - umin + 1)).ljust(self.stride, b"\1")
-        pad = b"\1" * (reach * self.stride)
-        self.grid = bytearray(pad + row * (vmax - vmin + 1) + pad)
-        for u, v in seeds:
-            self.grid[self.index(u, v)] = 1
 
-    def index(self, u: int, v: int) -> int:
-        return (v - self.v0) * self.stride + u - self.u0
-
-    def nearest_free(self, u: int, v: int, x: float, y: float) -> tuple[int, int]:
-        """The unrequested box cell nearest the box cell (u, v), by least
-        (squared offset, squared gap to (x, y), step order), or (u, v)
-        when every other cell is requested."""
-        grid, stride, at = self.grid, self.stride, self.index(u, v)
-        ring_found, gap, cell = math.inf, math.inf, (u, v)
-        for step, ring in self.steps:
-            if ring > ring_found:
-                break
-            if not grid[at + step]:
-                fv, fu = divmod(at + step, stride)
-                fu, fv = fu + self.u0, fv + self.v0
-                fresh_gap = (fu - x) ** 2 + (fv - y) ** 2
-                if fresh_gap < gap:
-                    ring_found, gap, cell = ring, fresh_gap, (fu, fv)
-        return cell
+def _nearest_free(cell, trial: Position, bounds, requested: Container) -> tuple[int, int]:
+    """The cell of the (umin, umax, vmin, vmax) box not in `requested`
+    nearest the box cell `cell`, by least (squared offset, squared gap to
+    `trial`, table order), or `cell` if every box cell is requested. With
+    at most _REPAIR_REACH cells requested, a box side reaching that far from
+    `cell` holds a free cell within that reach, so the table stops there."""
+    umin, umax, vmin, vmax = bounds
+    (u, v), (x, y) = cell, trial
+    ring_found = gap = math.inf
+    for du, dv, ring in _offsets_nearest_first(min(max(umax - umin, vmax - vmin), _REPAIR_REACH)):
+        if ring > ring_found:
+            break
+        fu, fv = u + du, v + dv
+        if umin <= fu <= umax and vmin <= fv <= vmax and (fu, fv) not in requested:
+            fresh_gap = (fu - x) ** 2 + (fv - y) ** 2
+            if fresh_gap < gap:
+                ring_found, gap, cell = ring, fresh_gap, (fu, fv)
+    return cell
 
 
 def _debm_search(
@@ -423,7 +410,8 @@ def _debm_search(
     rounds the trial to its cell and resolves its cost through the
     evaluate-or-estimate dispatch. A trial that lands on the cell of the
     best record so far moves to the nearest cell not yet requested in
-    this search, so it never spends a true evaluation on a known cost.
+    this search, none of the store's `positions`, so it never spends a
+    true evaluation on a known cost.
     The result is the store's best record. A copy takes an earlier
     record's value and so never undercuts it, which makes it the earliest
     lowest cost the search truly computed: no copied value is reported and
@@ -434,20 +422,17 @@ def _debm_search(
     # Individuals live on the valid lattice, so every requested position
     # is already a cell and the objective needs no projection.
     seeds = [_clamped_cell(p, bounds) for p in initial_pattern(w)]
-    # every request is a seed or a trial that repair marks as it returns it
-    requested = _Requested(bounds, seeds)
-    grid, index = requested.grid, requested.index
 
     def repair(position: Position) -> Position:
         # A trial on the incumbent's cell would only re-evaluate a known
         # cost; it moves to the nearest cell not yet requested, and among
         # equally near ones to the one nearest the trial itself.
-        cell = u, v = _clamped_cell(position, bounds)
+        # fitness_of stores every request, so store.positions holds them all.
+        cell = _clamped_cell(position, bounds)
         if cell == store.records[store.best_index].position:
-            u, v = requested.nearest_free(u, v, *position)
-        grid[index(u, v)] = 1
+            cell = _nearest_free(cell, position, bounds, store.positions)
         # float coordinates keep the DE arithmetic on CPython's float fast path
-        return float(u), float(v)
+        return float(cell[0]), float(cell[1])
 
     def objective(position: Position) -> float:
         u, v = position
@@ -465,11 +450,8 @@ def _debm_search(
     evaluations = sum(r.kind == EVALUATED for r in store.records)
     estimations = len(store.records) - evaluations
     if probe is not None:
-        probe.best_per_generation = best_per_generation
-        probe.visits = [
-            CellVisit(*map(int, r.position), r.kind)
-            for r in store.records
-        ]
+        probe.best_per_generation.extend(best_per_generation)
+        probe.visits.extend(CellVisit(*map(int, r.position), r.kind) for r in store.records)
     return BlockResult(mv, int(best.fitness), evaluations, estimations)
 
 
@@ -496,6 +478,8 @@ def search_block(
     inside the frame.
     """
     _require_block(current, previous, block)
+    if probe is not None and (probe.visits or probe.best_per_generation):
+        raise ValueError("a SearchProbe serves one search; pass a fresh one")
     cur, windows = _widen(current, previous, block.n)
     return _search_block(algorithm, cur, windows, block, config, index, probe)
 

@@ -565,9 +565,9 @@ class TestDebmSearch:
         rng = np.random.default_rng(27)
         current, previous = random_frame(rng, 48, 48), random_frame(rng, 48, 48)
         reaches = []
-        table = motion._steps_nearest_first
+        table = motion._offsets_nearest_first
         monkeypatch.setattr(
-            motion, "_steps_nearest_first", lambda reach: reaches.append(reach) or table(reach)
+            motion, "_offsets_nearest_first", lambda reach: reaches.append(reach) or table(reach)
         )
         wide = estimate_frame(current, previous, SearchConfig(w=60, n=16, rng_seed=5), "debm")
         assert reaches and max(reaches) <= 32
@@ -575,7 +575,7 @@ class TestDebmSearch:
         assert np.array_equal(wide[0], narrow[0]) and wide[1] == narrow[1]
 
     def test_step_table_is_cached_per_reach(self):
-        # The repair's step table depends on the reach alone, so a frame
+        # The repair's offset table depends on the reach alone, so a frame
         # whose blocks have four box shapes but two reaches builds two.
         rng = np.random.default_rng(28)
         current, previous = random_frame(rng, 48, 48), random_frame(rng, 48, 48)
@@ -586,11 +586,32 @@ class TestDebmSearch:
             )
         }
         assert len(shapes) >= 3
-        motion._steps_nearest_first.cache_clear()
+        motion._offsets_nearest_first.cache_clear()
         estimate_frame(current, previous, SearchConfig(w=7, n=16, rng_seed=5), "debm")
-        assert motion._steps_nearest_first.cache_info().currsize == len(
+        assert motion._offsets_nearest_first.cache_info().currsize == len(
             {max(shape) for shape in shapes}
         )
+
+    def test_offset_table_stops_at_the_request_count(self, monkeypatch):
+        # With w = 120 on 176x144 the boxes reach up to 168 cells, but a
+        # repair scans with at most 39 cells requested, so its tables stop
+        # at 39; tables that cover the whole box change no block's result.
+        assert motion._REPAIR_REACH == 5 * (de.GENERATIONS + 1) - 1 == 39
+        rng = np.random.default_rng(29)
+        current, previous = random_frame(rng, 144, 176), random_frame(rng, 144, 176)
+        config = SearchConfig(w=120, n=8, rng_seed=3)
+        reaches = []
+        table = motion._offsets_nearest_first
+        monkeypatch.setattr(
+            motion, "_offsets_nearest_first", lambda reach: reaches.append(reach) or table(reach)
+        )
+        capped = estimate_frame(current, previous, config, "debm")
+        assert max(reaches) == motion._REPAIR_REACH
+        reaches.clear()
+        monkeypatch.setattr(motion, "_REPAIR_REACH", 10**6)
+        lifted = estimate_frame(current, previous, config, "debm")
+        assert max(reaches) == 168
+        assert np.array_equal(capped[0], lifted[0]) and capped[1] == lifted[1]
 
     def test_never_beats_exhaustive_search(self):
         rng = np.random.default_rng(16)
@@ -616,69 +637,64 @@ class TestDebmSearch:
         assert all(b <= a for a, b in zip(fits, fits[1:]))
 
 
-def dict_ring_scan(cell, position, bounds, requested):
-    """Reference for the repair's scan: every nonzero offset within the
-    box's reach by increasing ring, v-major within a ring, each tested
-    against the box and a dict of requested cells. The least (ring,
-    squared gap to the trial, table order) wins; with no free cell the
-    trial keeps its cell."""
+def brute_force_nearest_free(cell, trial, bounds, requested):
+    """Oracle for the repair's scan: of every box cell not requested, the
+    least (du^2 + dv^2, squared gap to the trial, dv, du), with (du, dv)
+    its offset from `cell`; `cell` itself when every box cell is requested."""
     umin, umax, vmin, vmax = bounds
-    reach = max(umax - umin, vmax - vmin)
-    span = range(-reach, reach + 1)
-    offsets = sorted(
-        ((du, dv, du * du + dv * dv) for dv in span for du in span if du or dv),
-        key=lambda offset: offset[2],
-    )
-    (u, v), (x, y) = cell, position
-    ring_found = gap = math.inf
-    for du, dv, ring in offsets:
-        if ring > ring_found:
-            break
-        fu, fv = u + du, v + dv
-        if umin <= fu <= umax and vmin <= fv <= vmax and (fu, fv) not in requested:
-            fresh_gap = (fu - x) ** 2 + (fv - y) ** 2
-            if fresh_gap < gap:
-                ring_found, gap, cell = ring, fresh_gap, (fu, fv)
-    return cell
+    (u, v), (x, y) = cell, trial
+    free = [
+        ((fu - u) ** 2 + (fv - v) ** 2, (fu - x) ** 2 + (fv - y) ** 2, fv - v, fu - u)
+        for fv in range(vmin, vmax + 1)
+        for fu in range(umin, umax + 1)
+        if (fu, fv) not in requested
+    ]
+    if not free:
+        return cell
+    _, _, dv, du = min(free)
+    return u + du, v + dv
 
 
 @st.composite
 def ring_scans(draw):
-    """A box (1-wide sides included, not always around the origin), a
-    requested set holding the scanned cell, from none to every other cell
-    of the box, and a trial position: quarter steps from the cell, which
-    tie often on ring and gap, or any float within 30 px."""
-    umin, vmin = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
-    bounds = (umin, umin + draw(st.integers(0, 9)), vmin, vmin + draw(st.integers(0, 9)))
+    """A box up to 90 cells a side (1-wide sides included, not always around
+    the origin), a scanned cell in it, 1 to 39 requested cells that hold it
+    and cluster near it, and a trial a quarter-step multiple from it, which
+    ties often on ring and gap."""
+    umin, vmin = draw(st.integers(-60, 30)), draw(st.integers(-60, 30))
+    side = st.one_of(st.just(0), st.integers(0, 12), st.integers(0, 89))
+    bounds = (umin, umin + draw(side), vmin, vmin + draw(side))
+    cell = (draw(st.integers(bounds[0], bounds[1])), draw(st.integers(bounds[2], bounds[3])))
     cells = [
         (u, v)
         for v in range(bounds[2], bounds[3] + 1)
         for u in range(bounds[0], bounds[1] + 1)
     ]
-    cell = draw(st.sampled_from(cells))
-    density = draw(st.sampled_from([0.0, 0.3, 0.8, 0.95, 1.0]))
+    # the cells nearest `cell`, by distance plus a drawn jitter, are
+    # requested first: no jitter fills whole rings around it
+    jitter = draw(st.sampled_from([0.0, 1.0, 4.0, 20.0]))
     rng = draw(st.randoms(use_true_random=False))
-    requested = {c for c in cells if c == cell or rng.random() < density}
-    offset = st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.floats(-30, 30))
-    position = (cell[0] + draw(offset), cell[1] + draw(offset))
-    return bounds, requested, cell, position
+    cells.sort(key=lambda c: math.dist(c, cell) + jitter * rng.random() if c != cell else -1)
+    requested = set(cells[: draw(st.integers(1, 39))])
+    offset = st.integers(-8, 8).map(lambda k: k / 4)
+    trial = (cell[0] + draw(offset), cell[1] + draw(offset))
+    return bounds, requested, cell, trial
 
 
-class TestRepairGrid:
+class TestNearestFree:
     @settings(max_examples=400, deadline=None)
     @given(ring_scans())
     # the four ring-1 cells tie on gap; the table's first, (0, -1), wins
     @example(((-2, 2, -2, 2), {(0, 0)}, (0, 0), (0.0, 0.0)))
     # a 1-wide box with every cell requested keeps the trial's cell
     @example(((3, 3, -1, 1), {(3, -1), (3, 0), (3, 1)}, (3, 0), (3.25, 0.0)))
-    def test_matches_dict_ring_scan(self, scan):
-        bounds, requested, cell, position = scan
-        grid = motion._Requested(bounds, sorted(requested))
-        expected = dict_ring_scan(cell, position, bounds, dict.fromkeys(requested))
-        assert grid.nearest_free(*cell, *position) == expected
-        umin, umax, vmin, vmax = bounds
-        if len(requested) == (umax - umin + 1) * (vmax - vmin + 1):
-            assert expected == cell
+    # 39 requested cells at one end of a 100-cell row: the nearest free
+    # cell lies 39 cells away, at the table's cap
+    @example(((0, 99, 5, 5), {(u, 5) for u in range(39)}, (0, 5), (0.25, 5.0)))
+    def test_matches_brute_force(self, scan):
+        bounds, requested, cell, trial = scan
+        expected = brute_force_nearest_free(cell, trial, bounds, requested)
+        assert motion._nearest_free(cell, trial, bounds, requested) == expected
 
 
 def integer_pair(height, width, du, dv):
@@ -929,6 +945,26 @@ class TestSearchBlock:
             "debm", current, previous, block, seeded, 0
         ) == _debm_search(*wide, block, 7, 40 ^ 4)
         assert len(probe.best_per_generation) == 8 and len(probe.visits) == 40
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_used_probe_rejected(self, algorithm):
+        # A probe serves one call: a second call would append to what the
+        # first collected, so every search refuses a probe that holds data.
+        rng = np.random.default_rng(30)
+        previous, current = rolled_pair(rng, 48, 48, 2, 1)
+        block, config = BlockRef(16, 16, 16), SearchConfig()
+        probe = SearchProbe()
+        search_block(algorithm, current, previous, block, config, 0, probe)
+        visits = list(probe.visits)
+        assert visits
+        with pytest.raises(ValueError, match="SearchProbe"):
+            search_block(algorithm, current, previous, block, config, 0, probe)
+        assert probe.visits == visits
+        with pytest.raises(ValueError, match="SearchProbe"):
+            search_block(
+                algorithm, current, previous, block, config, 0,
+                SearchProbe(best_per_generation=[1.0]),
+            )
 
     def test_unknown_algorithm_rejected(self):
         frame = np.zeros((16, 16), dtype=np.uint8)
