@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import zlib
+from itertools import islice
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .motion import (
     SearchProbe,
     compensate,
     estimate_frame,
+    mv_bounds,
     partition,
     search_block,
 )
@@ -151,14 +153,14 @@ def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
     return kind, params
 
 
-def load_frames(args) -> list[np.ndarray]:
-    """Every frame of the input; fewer than two leave no pair to predict."""
+def load_frames(args, limit: int | None = None) -> list[np.ndarray]:
+    """The input's first `limit` frames, all when None; fewer than two leave no pair to predict."""
     fmt = _resolve_format(args)
     if args.frames is not None and args.frames < 1:
         raise ValueError(f"frame count must be at least 1, got {args.frames}")
     if fmt == "synth":
         kind, params = _parse_synth_spec(args.input, args)
-        frames = list(synth_sequence(kind, params))
+        frames = list(islice(synth_sequence(kind, params), limit))
     else:
         source = SequenceSource(
             format=fmt,
@@ -167,7 +169,7 @@ def load_frames(args) -> list[np.ndarray]:
             height=args.height,
             frame_count=args.frames,
         )
-        frames = list(open_sequence(source))
+        frames = list(islice(open_sequence(source), limit))
     if len(frames) < 2:
         raise ValueError(f"need at least two frames, got {len(frames)}")
     return frames
@@ -295,7 +297,8 @@ def cmd_compare(args, written: list[str]) -> str:
 
 def cmd_trace(args, written: list[str]) -> str:
     config = build_config(args)
-    frames = load_frames(args)
+    # an index below 1 loads the whole clip, whose length the error names
+    frames = load_frames(args, args.frame + 1 if args.frame >= 1 else None)
     if not 1 <= args.frame < len(frames):
         raise ValueError(
             f"frame {args.frame} out of range; predictable frames are "
@@ -313,11 +316,11 @@ def cmd_trace(args, written: list[str]) -> str:
             f"block ({x}, {y}) is not on the partition grid; valid x: "
             f"{xs}, valid y: {ys}"
         )
-    probe = SearchProbe()
-    result = search_block(
-        args.algo, current, previous, BlockRef(x, y, config.n), config,
-        anchors[(x, y)], probe,
-    )
+    block, probe = BlockRef(x, y, config.n), SearchProbe()
+    result = search_block(args.algo, current, previous, block, config, anchors[(x, y)], probe)
+    # no cell outside the block's box can be visited, so the grid ends there
+    height, width = current.shape
+    radius = max(map(abs, mv_bounds(block, width, height, config.w)))
 
     document = {
         "algorithm": args.algo,
@@ -327,7 +330,7 @@ def cmd_trace(args, written: list[str]) -> str:
         "evaluations": result.evaluations,
         "estimations": result.estimations,
     }
-    document.update(export_pattern_trace(probe.visits, result.mv, config.w))
+    document.update(export_pattern_trace(probe.visits, result.mv, radius))
     write_json(document, args.out)
     written.append(args.out)
     return (

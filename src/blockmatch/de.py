@@ -4,10 +4,10 @@ The optimizer minimizes a plain `Position -> float` objective over the
 2-D real plane, starting from a given set of seed positions, one
 individual per seed. Every trial passes through the caller's repair
 before its fitness is requested. A run holds its population as two
-lists, positions and fitnesses, and builds one `Candidate`, for the
-best individual it returns. The objective may return estimated rather
-than truly computed values; the optimizer does not distinguish them, so
-callers keep that accounting themselves.
+lists, positions and fitnesses, and returns its best individual as a
+plain (position, fitness) pair. The objective may return estimated
+rather than truly computed values; the optimizer does not distinguish
+them, so callers keep that accounting themselves.
 
 Every random decision of a run comes from `_draws`: random.Random(seed)'s
 Mersenne Twister output, read as randrange would draw it. It reads only the
@@ -20,7 +20,6 @@ values is another algorithm, not a setting of this one.
 """
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -31,14 +30,6 @@ Position = tuple[float, float]
 F = 0.25
 CR = 0.8
 GENERATIONS = 7
-
-
-@dataclass(slots=True)
-class Candidate:
-    """One individual: a position plus its (possibly estimated) fitness."""
-
-    position: Position
-    fitness: float
 
 
 class _Generation(NamedTuple):
@@ -96,9 +87,9 @@ def run(
     rng_seed: int,
     seed_positions: Sequence[Sequence[float]],
     repair: Callable[[Position], Position],
-) -> tuple[Candidate, list[float]]:
-    """Minimize `objective` and return (best of final population, as a
-    Candidate, best_per_generation).
+) -> tuple[tuple[Position, float], list[float]]:
+    """Minimize `objective` and return ((position, fitness) of the best of
+    the final population, best_per_generation).
 
     Identical seeds and inputs give bitwise-identical runs.
     best_per_generation holds the population-best fitness after
@@ -153,4 +144,4 @@ def run(
         best_fitness = min(fitnesses)
         best_per_generation.append(best_fitness)
 
-    return Candidate(positions[fitnesses.index(best_fitness)], best_fitness), best_per_generation
+    return (positions[fitnesses.index(best_fitness)], best_fitness), best_per_generation

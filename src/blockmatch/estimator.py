@@ -15,7 +15,8 @@ already stored is answered by one lookup, and any other request measures
 its distance to each distinct stored position once, however many records
 share it; ties resolve to the least (distance, first index) pair, that
 is, to the position stored first. `fitness_of` looks the nearest record
-up once per request and hands it to `classify`.
+up once per request, as a plain (index, record, distance) tuple, and
+hands it to `classify`.
 
 D is the paper's copy threshold, fixed by design like the optimizer's
 parameters in `de`.
@@ -24,9 +25,8 @@ parameters in `de`.
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .de import Position
 
@@ -68,24 +68,14 @@ class EvaluationRecord:
             raise ValueError(f"unknown record kind {self.kind!r}")
 
 
-class NearestHit(NamedTuple):
-    index: int
-    record: EvaluationRecord
-    distance: float
-
-
-# _hit((index, record, distance)) builds a NearestHit without the Python
-# frame of the __new__ that NamedTuple generates.
-_hit = partial(tuple.__new__, NearestHit)
-
-
 @dataclass
 class HistoryStore:
     """Ordered log of all fitness requests within one block search.
 
     A store starts empty and records enter only through `append`.
     best_index always points at the minimal fitness over all records,
-    evaluated and estimated alike; ties keep the earliest insertion.
+    evaluated and estimated alike; ties keep the earliest insertion, and
+    `records[best_index]` is the best record.
     `positions` maps each distinct stored position, in the order it was
     first stored, to the index of its earliest record; DE-BM's repair
     reads it as the set of cells requested so far.
@@ -95,38 +85,35 @@ class HistoryStore:
     best_index: int | None = field(default=None, init=False)
     positions: dict[Position, int] = field(default_factory=dict, init=False, repr=False)
 
-    def append(self, record: EvaluationRecord) -> int:
+    def append(self, record: EvaluationRecord) -> None:
         records = self.records
         records.append(record)
         index = len(records) - 1
         self.positions.setdefault(tuple(record.position), index)
         if self.best_index is None or record.fitness < records[self.best_index].fitness:
             self.best_index = index
-        return index
 
-    def best(self) -> EvaluationRecord | None:
-        return None if self.best_index is None else self.records[self.best_index]
-
-    def nearest(self, position: Position) -> NearestHit | None:
-        """Closest record by Euclidean distance: of each distinct position's
-        earliest record, the one with the least (distance, index) pair, so
-        the earliest insertion wins every tie. None iff the store is empty.
+    def nearest(self, position: Position) -> tuple[int, EvaluationRecord, float] | None:
+        """Closest record by Euclidean distance, as (index, record,
+        distance): of each distinct position's earliest record, the one
+        with the least (distance, index) pair, so the earliest insertion
+        wins every tie. None iff the store is empty.
 
         A stored position is found by lookup at distance 0.0; otherwise
         each distinct position is measured once.
         """
         index = self.positions.get(tuple(position))
         if index is not None:
-            return _hit((index, self.records[index], 0.0))
+            return index, self.records[index], 0.0
         if not self.positions:
             return None
         distances = list(map(math.dist, self.positions, repeat(position)))
         distance = min(distances)
         index = list(self.positions.values())[distances.index(distance)]
-        return _hit((index, self.records[index], distance))
+        return index, self.records[index], distance
 
 
-def classify(store: HistoryStore, position: Position, hit: NearestHit | None) -> Rule:
+def classify(store: HistoryStore, position: Position, hit: tuple | None) -> Rule:
     """Decide how a position's fitness is obtained, given `hit`, the
     store's `nearest(position)`.
 

@@ -2,7 +2,7 @@
 
 Frames are 2-D numpy arrays of dtype uint8, indexed [row, column] =
 [y, x]. A motion vector (u, v) displaces a block by u pixels horizontally
-and v vertically into the previous frame. Candidate displacements are
+and v vertically into the previous frame. The displacements searched are
 limited to the box |u|, |v| <= w intersected with the frame interior, and
 the matching cost is the sum of absolute differences over the block.
 """
@@ -438,14 +438,12 @@ def _debm_search(
         u, v = position
         return float(_sad_wide(cur, windows, block, int(u), int(v)))
 
-    def request(position: Position) -> float:
-        # Looked up on the module when called, so a replaced attribute
-        # sees every request.
-        return estimator.fitness_of(store, position, objective)
-
+    # Bound from the module attribute per block, so a replaced
+    # `fitness_of` sees every request.
+    request = functools.partial(estimator.fitness_of, store, objective=objective)
     _, best_per_generation = de.run(request, rng_seed, seeds, repair)
 
-    best = store.best()
+    best = store.records[store.best_index]
     mv = MotionVector(*map(int, best.position))
     evaluations = sum(r.kind == EVALUATED for r in store.records)
     estimations = len(store.records) - evaluations
@@ -507,22 +505,6 @@ def _search_block(
     raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
 
 
-def _debm_frame(
-    cur: np.ndarray,
-    windows: np.ndarray,
-    blocks: Sequence[BlockRef],
-    config: SearchConfig,
-) -> list[BlockResult]:
-    """DE-BM over `blocks`, a frame's partition in order, each searched
-    exactly as `search_block` searches it alone. `_debm_search` is looked
-    up on the module for each block, so a replaced attribute sees every
-    block."""
-    return [
-        _debm_search(cur, windows, block, config.w, config.rng_seed ^ index)
-        for index, block in enumerate(blocks)
-    ]
-
-
 def estimate_frame(
     current: np.ndarray,
     previous: np.ndarray,
@@ -538,13 +520,10 @@ def estimate_frame(
     _require_pair(current, previous)
     blocks = partition(current, config.n)
     cur, windows = _widen(current, previous, config.n)
-    if algorithm == "debm":
-        results = _debm_frame(cur, windows, blocks, config)
-    else:
-        results = [
-            _search_block(algorithm, cur, windows, block, config, index)
-            for index, block in enumerate(blocks)
-        ]
+    results = [
+        _search_block(algorithm, cur, windows, block, config, index)
+        for index, block in enumerate(blocks)
+    ]
 
     # partition's row-major order is the grid's.
     rows, cols = grid_shape(current.shape, config.n)

@@ -357,6 +357,52 @@ class TestTrace:
         assert int(row["sad"]) == doc["sad"]
         assert [int(row["u"]), int(row["v"])] == doc["minimum"]
 
+    @pytest.mark.parametrize("search_range, radius", [(400, 16), (7, 7)])
+    def test_grid_reaches_as_far_as_the_block_box(self, tmp_path, search_range, radius):
+        # In a 32x32 frame the 16x16 block at (16, 16) can move at most 16
+        # cells left or up and none right or down, so a wider range adds no
+        # cell the search can visit; a range the frame has room for keeps
+        # its (2w+1)^2 grid.
+        out = tmp_path / "trace.json"
+        status = run_cli(
+            "trace", "--algo", "fsa", "--format", "synth", "--input", "random:1,1",
+            "--frames", "2", "--width", "32", "--height", "32",
+            "--search-range", str(search_range), "--trace-block", "16,16", "--out", str(out),
+        )
+        assert status == 0
+        doc = json.loads(out.read_text())
+        assert doc["w"] == radius
+        assert [len(row) for row in doc["grid"]] == [2 * radius + 1] * (2 * radius + 1)
+        assert doc["counts"]["evaluated"] == doc["evaluations"] == (radius + 1) ** 2
+
+    def test_reads_no_frame_after_the_predicted_one(self, tmp_path, capsys):
+        # the third frame is cut short: run must refuse the clip, while
+        # trace of frame 1 never reads that far
+        frame_bytes = 32 * 32 * 3 // 2
+        clip = tmp_path / "clip.yuv"
+        clip.write_bytes(np.random.default_rng(3).integers(
+            0, 256, 2 * frame_bytes + 100, dtype=np.uint8).tobytes())
+        common = ["--format", "yuv420", "--input", str(clip), "--width", "32", "--height", "32"]
+        out = tmp_path / "trace.json"
+        assert run_cli("trace", *common, "--algo", "ds", "--trace-block", "16,16",
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["frame"] == 1
+        capsys.readouterr()
+        assert run_cli("run", *common, "--algo", "ds") == 1
+        assert "truncated luma plane" in capsys.readouterr().err
+
+    def test_frame_past_the_clip_names_its_length(self, tmp_path, capsys):
+        # trace loads at most --frame + 1 frames, yet a clip that ends
+        # first is still named whole: synth makes 10 frames by default
+        status = run_cli(
+            "trace", "--algo", "fsa", "--format", "synth", "--input", "random:0,0",
+            "--frame", "12", "--trace-block", "16,16", "--out", str(tmp_path / "trace.json"),
+        )
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "error: frame 12 out of range; predictable frames are 1..9\n"
+        )
+
     def test_misaligned_block_lists_valid_anchors(self, tmp_path, capsys):
         status = run_cli(
             "trace",

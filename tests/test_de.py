@@ -7,7 +7,6 @@ import random
 import pytest
 
 from blockmatch import de, estimator
-from blockmatch.de import Candidate
 
 
 def sphere(position):
@@ -331,15 +330,15 @@ class TestSelect:
 
     def test_strict_improvement(self):
         best, trial = self.run_first_trial(0.5)
-        assert best == Candidate(trial, 0.5)
+        assert best == (trial, 0.5)
 
     def test_tie_goes_to_trial(self):
         best, trial = self.run_first_trial(1.0)
-        assert best == Candidate(trial, 1.0)
+        assert best == (trial, 1.0)
 
     def test_worse_trial_rejected(self):
         best, _ = self.run_first_trial(2.0)
-        assert best == Candidate(self.START[0], 1.0)
+        assert best == (self.START[0], 1.0)
 
 
 class TestRun:
@@ -357,7 +356,7 @@ class TestRun:
                             expected, seed, start, repair
                         )
                         assert objective.requested == expected.requested
-                        assert (best.position, best.fitness) == (position, fitness)
+                        assert best == (position, fitness)
                         assert per_generation == reference_per_generation
 
     def test_population_best_monotone_on_sphere(self):
@@ -406,13 +405,13 @@ class TestRun:
         monkeypatch.setattr(de, "F", 0.5)
         hits = 0
         for seed in range(20):
-            best, _ = de.run(sphere, seed, random_start(seed), as_is)
-            hits += math.dist(best.position, (0.0, 0.0)) <= 1.0
+            (position, _), _ = de.run(sphere, seed, random_start(seed), as_is)
+            hits += math.dist(position, (0.0, 0.0)) <= 1.0
         assert hits >= 18
 
     def test_seeded_start_keeps_known_optimum(self):
-        best, per_generation = de.run(sphere, 7, SEEDS, as_is)
-        assert best.fitness == 0.0
+        (_, fitness), per_generation = de.run(sphere, 7, SEEDS, as_is)
+        assert fitness == 0.0
         assert per_generation[0] == 0.0
 
     def test_objective_errors_propagate(self):

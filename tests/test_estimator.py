@@ -12,7 +12,6 @@ from blockmatch.estimator import (
     EVALUATED,
     EvaluationRecord,
     HistoryStore,
-    NearestHit,
     Rule,
     classify,
     fitness_of,
@@ -21,12 +20,12 @@ from blockmatch.estimator import (
 
 def linear_nearest(store, position):
     """Oracle: scan every record in insertion order and keep the first one
-    at the least Euclidean distance."""
+    at the least Euclidean distance, as (index, record, distance)."""
     hit = None
     for index, record in enumerate(store.records):
         distance = math.dist(record.position, position)
-        if hit is None or distance < hit.distance:
-            hit = NearestHit(index, record, distance)
+        if hit is None or distance < hit[2]:
+            hit = index, record, distance
     return hit
 
 
@@ -78,9 +77,9 @@ class TestNearest:
 
     def test_three_four_five_triangle(self):
         store = store_of(((0.0, 0.0), 100.0))
-        hit = store.nearest((3.0, 4.0))
-        assert hit.record.position == (0.0, 0.0)
-        assert hit.distance == 5.0
+        _, record, distance = store.nearest((3.0, 4.0))
+        assert record.position == (0.0, 0.0)
+        assert distance == 5.0
 
     def test_closest_of_two(self):
         # brute-force check over both stored candidates
@@ -89,14 +88,14 @@ class TestNearest:
         expected = min(
             store.records, key=lambda r: math.dist(r.position, query)
         )
-        hit = store.nearest(query)
-        assert hit.record is expected
-        assert hit.record.position == (3.0, 4.0)
-        assert hit.distance == 1.0
+        _, record, distance = store.nearest(query)
+        assert record is expected
+        assert record.position == (3.0, 4.0)
+        assert distance == 1.0
 
     def test_tie_breaks_to_earliest_insertion(self):
         store = store_of(((1.0, 0.0), 5.0), ((-1.0, 0.0), 3.0))
-        assert store.nearest((0.0, 0.0)).index == 0
+        assert store.nearest((0.0, 0.0))[0] == 0
 
     def test_records_enter_only_through_append(self):
         # the position index and best_index are filled by append, so a
@@ -122,10 +121,10 @@ class TestNearest:
             store.append(EvaluationRecord(position, 1.0, EVALUATED))
             stored = [position, store.records[earlier % len(store.records)].position]
             for query in stored + queries:
-                hit = store.nearest(query)
-                expected = linear_nearest(store, query)
-                assert (hit.index, hit.distance) == (expected.index, expected.distance)
-                assert hit.record is store.records[hit.index]
+                index, record, distance = store.nearest(query)
+                expected_index, _, expected_distance = linear_nearest(store, query)
+                assert (index, distance) == (expected_index, expected_distance)
+                assert record is store.records[index]
 
 
 class TestBestTracking:
@@ -167,15 +166,15 @@ class TestClassify:
     def test_near_non_best_is_copied(self):
         # nearest is (6,0) at distance 1.0, the best is (0,0) far away
         store = store_of(((0.0, 0.0), 50.0), ((6.0, 0.0), 80.0))
-        hit = store.nearest((6.0, 1.0))
-        assert hit.record.position == (6.0, 0.0) and hit.index != store.best_index
+        index, record, _ = store.nearest((6.0, 1.0))
+        assert record.position == (6.0, 0.0) and index != store.best_index
         assert rule_at(store, (6.0, 1.0)) is Rule.NEIGHBOR_COPY
 
     def test_best_among_equidistant_nearest_is_evaluated(self):
         # nearest() names the earlier, non-best record; the best record is
         # just as near, so the position is worth refining
         store = store_of(((1.0, 0.0), 5.0), ((-1.0, 0.0), 3.0))
-        assert store.nearest((0.0, 0.0)).index != store.best_index
+        assert store.nearest((0.0, 0.0))[0] != store.best_index
         assert rule_at(store, (0.0, 0.0)) is Rule.NEAR_BEST
         assert rule_at(store, (2.0, 0.0)) is Rule.NEIGHBOR_COPY
 

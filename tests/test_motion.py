@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blockmatch import de, estimator, motion
+from blockmatch import baselines, de, estimator, motion
 from blockmatch.cli import run_sequence
 from blockmatch.estimator import ESTIMATED, EVALUATED
 from blockmatch.motion import (
@@ -304,8 +304,7 @@ class TestDebmFrame:
         _, results = estimate_frame(current, previous, config, "debm")
         assert calls == [(block, 9 ^ index) for index, block in enumerate(blocks)]
 
-        wide = _widen(current, previous, config.n)
-        assert motion._debm_frame(*wide, blocks, config) == results == [
+        assert results == [
             search_block("debm", current, previous, block, config, index)
             for index, block in enumerate(blocks)
         ]
@@ -369,6 +368,45 @@ class TestDebmFrame:
             len(args) == 5 and not kwargs and all(type(c) is int for c in args[3:5])
             for args, kwargs in sad_args
         )
+
+
+class TestPatternFrame:
+    @pytest.mark.parametrize("algorithm", ["fsa", "tss", "ds"])
+    def test_frame_makes_every_call_the_benchmark_tracer_hooks(self, monkeypatch, algorithm):
+        # bench/tracing.py times fsa, tss and ds blocks through these module
+        # attributes and counts tss's and ds's cost requests through
+        # `_CachedCost.__call__`, one per pattern step: tss's lone origin,
+        # then one per `_scan_min`. No SAD of theirs goes through `_sad_wide`.
+        calls = Counter()
+        hooks = [
+            (motion, "_full_search"),
+            (baselines, "_tss_search"),
+            (baselines, "_ds_search"),
+            (baselines._CachedCost, "__call__"),
+            (baselines, "_scan_min"),
+            (motion, "_sad_wide"),
+        ]
+        for owner, name in hooks:
+            def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        rng = np.random.default_rng(28)
+        previous, current = rolled_pair(rng, 48, 64, 3, -2)
+        config = SearchConfig(w=7, n=8)
+        estimate_frame(current, previous, config, algorithm)
+        blocks = len(partition(current, config.n))
+        steps = calls["_scan_min"]
+        expected = {
+            # w = 7: the origin, then grids at steps 4, 2 and 1
+            "tss": {"_tss_search": blocks, "__call__": 4 * blocks, "_scan_min": 3 * blocks},
+            "ds": {"_ds_search": blocks, "__call__": steps, "_scan_min": steps},
+            "fsa": {"_full_search": blocks},
+        }[algorithm]
+        assert dict(calls) == expected
+        # ds walks at least one large diamond and one small one per block
+        assert algorithm != "ds" or steps >= 2 * blocks
 
 
 class TestInitialPattern:
