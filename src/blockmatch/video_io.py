@@ -326,7 +326,7 @@ def write_mv_dump(
     Each outcome's results follow the order of `blocks`."""
     lines = [MV_DUMP_HEADER]
     for outcome in outcomes:
-        for block, result in zip(blocks, outcome.results):
+        for block, result in zip(blocks, outcome.results, strict=True):
             lines.append(
                 f"{outcome.frame_index},{block.x},{block.y},{result.mv.u},{result.mv.v},"
                 f"{result.sad},{result.evaluations},{result.estimations}"

@@ -1,6 +1,7 @@
 """Unit tests for the quality metrics, aggregation and pattern traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,63 @@ class TestMse:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mse(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 5), dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.zeros((4, 4), np.int32), np.zeros((4, 4), np.int32)),
+            (np.zeros((4, 4), np.uint16), np.zeros((4, 4), np.uint16)),
+            (np.zeros((4, 4), np.float64), np.zeros((4, 4), np.float64)),
+            (np.zeros((4, 4), np.uint8), np.zeros((4, 4), np.int32)),
+            (np.zeros(16, np.uint8), np.zeros(16, np.uint8)),
+            (np.zeros((2, 4, 4), np.uint8), np.zeros((2, 4, 4), np.uint8)),
+        ],
+        ids=["int32", "uint16", "float64", "mixed", "1-D", "3-D"],
+    )
+    def test_only_uint8_frames_accepted(self, a, b):
+        # an int16 difference of wider integers would wrap without a word
+        with pytest.raises(ValueError):
+            mse(a, b)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (3, 5), (16, 16), (144, 176), (360, 640), (1080, 1920)]
+    )
+    @pytest.mark.parametrize("kind", ["random", "identical", "full-scale", "near"])
+    def test_equals_float64_mean_exactly(self, shape, kind):
+        # every partial sum of the float64 mean is an integer below 2**53,
+        # so its one rounding is the division, as in int / int
+        rng = np.random.default_rng(sum(shape))
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        if kind == "random":
+            b = rng.integers(0, 256, shape, dtype=np.uint8)
+        elif kind == "identical":
+            b = a.copy()
+        elif kind == "full-scale":
+            a = np.where(a < 128, 0, 255).astype(np.uint8)
+            b = 255 - a
+        else:
+            noise = rng.integers(-2, 3, shape) * (rng.random(shape) < 0.01)
+            b = np.clip(a + noise, 0, 255).astype(np.uint8)
+        diff = a.astype(np.float64) - b.astype(np.float64)
+        assert mse(a, b) == float(np.mean(diff * diff))
+
+    def test_full_scale_large_frame_does_not_overflow(self):
+        # 65025 * 230400 is above 2**31: an int32 sum would wrap
+        zeros = np.zeros((360, 640), dtype=np.uint8)
+        assert mse(zeros, np.full_like(zeros, 255)) == 65025.0
+
+    def test_allocates_at_most_four_bytes_per_pixel(self):
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 256, (360, 640), dtype=np.uint8)
+        b = rng.integers(0, 256, (360, 640), dtype=np.uint8)
+        mse(a, b)
+        tracemalloc.start()
+        try:
+            mse(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * a.size
 
 
 class TestPsnr:

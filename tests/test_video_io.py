@@ -356,3 +356,12 @@ class TestReports:
         assert lines[0] == "frame,x,y,u,v,sad,evaluations,estimations"
         assert lines[1] == "1,0,0,3,-2,120,14,26"
         assert lines[2] == "1,16,0,0,0,0,12,28"
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_mv_dump_rejects_results_that_do_not_match_blocks(self, tmp_path, count):
+        blocks = [BlockRef(0, 0, 16), BlockRef(16, 0, 16)]
+        results = [BlockResult(MotionVector(0, 0), 0, 12, 28)] * count
+        path = tmp_path / "mv.csv"
+        with pytest.raises(ValueError):
+            write_mv_dump(str(path), blocks, [FrameOutcome(1, 0.0, results)])
+        assert list(tmp_path.iterdir()) == []
