@@ -498,10 +498,8 @@ def _search_block(
         return _full_search(cur, windows, block, config.w, probe)
     if algorithm == "debm":
         return _debm_search(cur, windows, block, config.w, config.rng_seed ^ index, probe)
-    if algorithm == "tss":
-        return baselines._tss_search(cur, windows, block, config.w, probe)
-    if algorithm == "ds":
-        return baselines._ds_search(cur, windows, block, config.w, probe)
+    if algorithm in ("tss", "ds"):
+        return next(baselines._search(algorithm, cur, windows, [block], config.w, probe))
     raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
 
 
@@ -520,10 +518,10 @@ def estimate_frame(
     _require_pair(current, previous)
     blocks = partition(current, config.n)
     cur, windows = _widen(current, previous, config.n)
-    results = [
-        _search_block(algorithm, cur, windows, block, config, index)
-        for index, block in enumerate(blocks)
-    ]
+    if algorithm in ("tss", "ds"):  # their first pattern step is costed per batch of blocks
+        results = list(baselines._search(algorithm, cur, windows, blocks, config.w))
+    else:
+        results = [_search_block(algorithm, cur, windows, block, config, i) for i, block in enumerate(blocks)]
 
     # partition's row-major order is the grid's.
     rows, cols = grid_shape(current.shape, config.n)
@@ -568,5 +566,5 @@ def compensate(previous: np.ndarray, mv_field: np.ndarray, n: int) -> np.ndarray
 
 
 # Imported last, because baselines builds on the names above;
-# `_search_block` looks tss and ds up on it when called.
+# `_search_block` and `estimate_frame` look tss and ds up on it when called.
 from . import baselines  # noqa: E402

@@ -1,11 +1,14 @@
 """Unit tests for the three-step and diamond searches."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import gaussian_filter
 
+from blockmatch import baselines
 from blockmatch.estimator import EVALUATED
 from blockmatch.motion import (
     BlockRef,
@@ -14,6 +17,8 @@ from blockmatch.motion import (
     MotionVector,
     SearchConfig,
     SearchProbe,
+    _widen,
+    estimate_frame,
     full_search,
     mv_bounds,
     partition,
@@ -231,3 +236,99 @@ class TestScalarReference:
         config = SearchConfig(w=w, n=block.n)
         assert search_block(algorithm, current, previous, block, config, 0, probe) == expected
         assert probe.visits == visits
+
+
+def frame_cases():
+    """(current, previous, n, w) pairs for the frame-level searches: more
+    blocks than one first-step batch at n = 8 (113) and n = 16 (28), a
+    window wider than the frame, constant frames where every cost ties,
+    and sizes that leave remainder pixels."""
+    rng = np.random.default_rng(28)
+    textured = rolled_pair(rng, 104, 136, 3, -2)
+    noise = rng.integers(0, 256, (2, 24, 24), dtype=np.uint8)
+    flat = np.full((40, 56), 77, np.uint8)
+    return {
+        "n8_batches": (*textured, 8, 7),
+        "n16_batches": (*textured, 16, 7),
+        "w40_on_24x24": (*noise, 8, 40),
+        "constant": (flat, flat, 8, 7),
+        "constant_w1": (flat, flat.copy(), 5, 1),
+        "odd_sizes": (*rng.integers(0, 256, (2, 45, 67), dtype=np.uint8), 6, 11),
+    }
+
+
+FRAME_CASES = frame_cases()
+
+
+class TestBatchedFirstStep:
+    @BASELINES
+    @pytest.mark.parametrize("case", list(FRAME_CASES))
+    def test_frame_matches_one_cell_oracle(self, algorithm, case):
+        current, previous, n, w = FRAME_CASES[case]
+        _, results = estimate_frame(current, previous, SearchConfig(w=w, n=n), algorithm)
+        for block, result in zip(partition(current, n), results, strict=True):
+            assert result == scalar_search(algorithm, current, previous, block, w)[0]
+
+    @BASELINES
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_frame_matches_one_cell_oracle(self, algorithm, data):
+        n = data.draw(st.integers(1, 11))
+        height = n * data.draw(st.integers(1, 3)) + data.draw(st.integers(0, n - 1))
+        width = n * data.draw(st.integers(1, 3)) + data.draw(st.integers(0, n - 1))
+        current = data.draw(arrays(np.uint8, (height, width)))
+        previous = data.draw(arrays(np.uint8, (height, width)))
+        w = data.draw(st.integers(1, 11))
+        _, results = estimate_frame(current, previous, SearchConfig(w=w, n=n), algorithm)
+        for block, result in zip(partition(current, n), results, strict=True):
+            assert result == scalar_search(algorithm, current, previous, block, w)[0]
+
+    @BASELINES
+    @pytest.mark.parametrize("case", ["n8_batches", "w40_on_24x24"])
+    def test_first_step_calls_gather_no_cell(self, monkeypatch, algorithm, case):
+        # Each block's `_CachedCost` logs the cells its calls gather, counted
+        # through the module's `_abs_sum`, which the batched first step also
+        # sums with, outside any call.
+        current, previous, n, w = FRAME_CASES[case]
+        calls, summed = {}, [0]
+        abs_sum, call = baselines._abs_sum, baselines._CachedCost.__call__
+
+        def counting_abs_sum(diff, axis, n):
+            summed[0] += diff.size // (n * n)
+            return abs_sum(diff, axis, n)
+
+        def counting_call(cost, cells):
+            before = summed[0]
+            values = call(cost, cells)
+            calls.setdefault(cost, []).append(summed[0] - before)
+            return values
+
+        monkeypatch.setattr(baselines, "_abs_sum", counting_abs_sum)
+        monkeypatch.setattr(baselines._CachedCost, "__call__", counting_call)
+        _, results = estimate_frame(current, previous, SearchConfig(w=w, n=n), algorithm)
+        assert len(calls) == len(results)
+        costless = 2 if algorithm == "tss" else 1
+        for gathered in calls.values():
+            assert gathered[:costless] == [0] * costless
+        # the batches sum all 9 first-step cells of every block, dropped ones
+        # included, and nothing else outside a call
+        assert summed[0] - sum(map(sum, calls.values())) == 9 * len(results)
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_first_step_batch_memory_is_bounded(self, monkeypatch, n):
+        # Costing a 640x360 frame's first steps, with each walk stubbed out,
+        # holds one batch at a time, so its peak stays near the byte budget
+        # whatever the block size; batches of a fixed block count would not.
+        rng = np.random.default_rng(n)
+        current, previous = rng.integers(0, 256, (2, 360, 640), dtype=np.uint8)
+        cur, windows = _widen(current, previous, n)
+        blocks = partition(current, n)
+        monkeypatch.setattr(baselines, "_tss_search", lambda *args: None)
+        tracemalloc.start()
+        try:
+            for _ in baselines._search("tss", cur, windows, blocks, 16):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * baselines._BATCH_BYTES
