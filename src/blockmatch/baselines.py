@@ -4,7 +4,7 @@ Both share the SAD cost, skip candidates outside the valid displacement
 region, cost a pattern step's unseen cells in one gather from the shared
 window view, cache every computed cost so a position is never evaluated
 twice, and report the same per-block accounting as the other algorithms.
-`_search` runs them over a list of blocks, one for `motion.search_block`.
+`_search` runs them over a frame's blocks or one, for `motion._search_blocks`.
 A SAD here is exactly the one `motion.sad` computes, summed by `_abs_sum`.
 """
 

@@ -154,22 +154,19 @@ def _parse_synth_spec(spec: str, args) -> tuple[str, SynthParams]:
 
 
 def load_frames(args, limit: int | None = None) -> list[np.ndarray]:
-    """The input's first `limit` frames, all when None; fewer than two leave no pair to predict."""
+    """The input's first frames, at most `limit` and --frames, each when set;
+    fewer than two leave no pair to predict. No frame past the cap is read."""
     fmt = _resolve_format(args)
     if args.frames is not None and args.frames < 1:
         raise ValueError(f"frame count must be at least 1, got {args.frames}")
     if fmt == "synth":
         kind, params = _parse_synth_spec(args.input, args)
-        frames = list(islice(synth_sequence(kind, params), limit))
+        sequence = synth_sequence(kind, params)
     else:
-        source = SequenceSource(
-            format=fmt,
-            path=args.input,
-            width=args.width,
-            height=args.height,
-            frame_count=args.frames,
-        )
-        frames = list(islice(open_sequence(source), limit))
+        source = SequenceSource(format=fmt, path=args.input, width=args.width, height=args.height)
+        sequence = open_sequence(source)
+    cap = min((c for c in (args.frames, limit) if c is not None), default=None)
+    frames = list(islice(sequence, cap))
     if len(frames) < 2:
         raise ValueError(f"need at least two frames, got {len(frames)}")
     return frames
@@ -307,17 +304,8 @@ def cmd_trace(args, written: list[str]) -> str:
     x, y = _int_pair(args.trace_block, "--trace-block", "x,y")
 
     current, previous = frames[args.frame], frames[args.frame - 1]
-    blocks = partition(current, config.n)
-    anchors = {(b.x, b.y): i for i, b in enumerate(blocks)}
-    if (x, y) not in anchors:
-        xs = sorted({b.x for b in blocks})
-        ys = sorted({b.y for b in blocks})
-        raise ValueError(
-            f"block ({x}, {y}) is not on the partition grid; valid x: "
-            f"{xs}, valid y: {ys}"
-        )
     block, probe = BlockRef(x, y, config.n), SearchProbe()
-    result = search_block(args.algo, current, previous, block, config, anchors[(x, y)], probe)
+    result = search_block(args.algo, current, previous, block, config, probe)
     # no cell outside the block's box can be visited, so the grid ends there
     height, width = current.shape
     radius = max(map(abs, mv_bounds(block, width, height, config.w)))

@@ -115,7 +115,7 @@ def run(
             raise ValueError(
                 f"seed position {index} has {len(seed)} coordinates, expected 2"
             )
-    positions = [(float(u), float(v)) for u, v in seed_positions]
+    positions = [(u, v) for u, v in seed_positions]
     fitnesses = [objective(position) for position in positions]
     # min, then index, finds the earliest individual of least fitness
     best_fitness = min(fitnesses)

@@ -10,7 +10,7 @@ the matching cost is the sum of absolute differences over the block.
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Container, NamedTuple, Sequence
+from typing import Container, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,7 +19,7 @@ from . import de, estimator
 from .de import Position
 from .estimator import EVALUATED, HistoryStore
 
-# The searches search_block dispatches to, by name.
+# The searches _search_blocks dispatches to, by name.
 ALGORITHMS = ("fsa", "debm", "tss", "ds")
 
 
@@ -321,6 +321,7 @@ def full_search(
     runs the same search and takes a probe.
     """
     _require_block(current, previous, block)
+    SearchConfig(w, block.n)  # refuses w < 1 as every search does
     return _full_search(*_widen(current, previous, block.n), block, w, None)
 
 
@@ -419,11 +420,11 @@ def _debm_search(
     """
     bounds = _bounds(windows, block, w)
     store = HistoryStore()
-    # Individuals live on the valid lattice, so every requested position
-    # is already a cell and the objective needs no projection.
+    # Individuals live on the valid lattice: every requested position is
+    # an int cell from _clamped_cell, which the objective passes on as is.
     seeds = [_clamped_cell(p, bounds) for p in initial_pattern(w)]
 
-    def repair(position: Position) -> Position:
+    def repair(position: Position) -> tuple[int, int]:
         # A trial on the incumbent's cell would only re-evaluate a known
         # cost; it moves to the nearest cell not yet requested, and among
         # equally near ones to the one nearest the trial itself.
@@ -431,12 +432,10 @@ def _debm_search(
         cell = _clamped_cell(position, bounds)
         if cell == store.records[store.best_index].position:
             cell = _nearest_free(cell, position, bounds, store.positions)
-        # float coordinates keep the DE arithmetic on CPython's float fast path
-        return float(cell[0]), float(cell[1])
+        return cell
 
-    def objective(position: Position) -> float:
-        u, v = position
-        return float(_sad_wide(cur, windows, block, int(u), int(v)))
+    def objective(cell: tuple[int, int]) -> float:
+        return float(_sad_wide(cur, windows, block, *cell))
 
     # Bound from the module attribute per block, so a replaced
     # `fitness_of` sees every request.
@@ -444,12 +443,12 @@ def _debm_search(
     _, best_per_generation = de.run(request, rng_seed, seeds, repair)
 
     best = store.records[store.best_index]
-    mv = MotionVector(*map(int, best.position))
+    mv = MotionVector(*best.position)
     evaluations = sum(r.kind == EVALUATED for r in store.records)
     estimations = len(store.records) - evaluations
     if probe is not None:
         probe.best_per_generation.extend(best_per_generation)
-        probe.visits.extend(CellVisit(*map(int, r.position), r.kind) for r in store.records)
+        probe.visits.extend(CellVisit(*r.position, r.kind) for r in store.records)
     return BlockResult(mv, int(best.fitness), evaluations, estimations)
 
 
@@ -464,42 +463,44 @@ def search_block(
     previous: np.ndarray,
     block: BlockRef,
     config: SearchConfig,
-    index: int,
     probe: SearchProbe | None = None,
 ) -> BlockResult:
     """Search one block of a uint8 frame pair with the named algorithm
     (one of ALGORITHMS), exactly as a full-frame run searches it.
 
-    `index` is the block's position in partition order; debm seeds its
-    run with rng_seed ^ index, so a block's result does not depend on
-    which other blocks are searched or in what order. The block must lie
-    inside the frame.
+    The block must be one of `partition(current, config.n)`; any other is
+    refused. Its index there, (y // n) * (width // n) + x // n, seeds
+    debm's run with rng_seed ^ index, so a block's result does not depend
+    on which other blocks are searched or in what order.
     """
     _require_block(current, previous, block)
+    x, y, n = block
+    if n != config.n or x % n or y % n:
+        grid = partition(current, config.n)
+        raise ValueError(f"block ({x}, {y}) of side {n} is not on the partition grid of side {config.n}; "
+                         f"valid x: {sorted({b.x for b in grid})}, valid y: {sorted({b.y for b in grid})}")
     if probe is not None and (probe.visits or probe.best_per_generation):
         raise ValueError("a SearchProbe serves one search; pass a fresh one")
-    cur, windows = _widen(current, previous, block.n)
-    return _search_block(algorithm, cur, windows, block, config, index, probe)
+    index = (y // n) * (current.shape[1] // n) + x // n
+    cur, windows = _widen(current, previous, n)
+    return next(_search_blocks(algorithm, cur, windows, [block], config, index, probe))
 
 
-def _search_block(
-    algorithm: str,
-    cur: np.ndarray,
-    windows: np.ndarray,
-    block: BlockRef,
-    config: SearchConfig,
-    index: int,
-    probe: SearchProbe | None = None,
-) -> BlockResult:
-    # cur and windows come from _widen with n = block.n. Each search is
-    # looked up on its module when called, so a replaced module attribute
-    # sees every block.
+def _search_blocks(algorithm: str, cur, windows, blocks: list[BlockRef], config: SearchConfig,
+                   first_index: int = 0, probe: SearchProbe | None = None) -> Iterator[BlockResult]:
+    """Each block's result in order: the one dispatch on a search's name.
+    blocks are consecutive in partition order from index first_index, and
+    debm seeds block i's run with rng_seed ^ i; cur and windows come from
+    _widen. Each search is looked up when called, so a replaced module
+    attribute sees every block."""
+    w = config.w
     if algorithm == "fsa":
-        return _full_search(cur, windows, block, config.w, probe)
+        return (_full_search(cur, windows, block, w, probe) for block in blocks)
     if algorithm == "debm":
-        return _debm_search(cur, windows, block, config.w, config.rng_seed ^ index, probe)
+        return (_debm_search(cur, windows, block, w, config.rng_seed ^ index, probe)
+                for index, block in enumerate(blocks, first_index))
     if algorithm in ("tss", "ds"):
-        return next(baselines._search(algorithm, cur, windows, [block], config.w, probe))
+        return baselines._search(algorithm, cur, windows, blocks, w, probe)
     raise ValueError(f"unknown algorithm {algorithm!r}, expected {ALGORITHMS}")
 
 
@@ -513,15 +514,13 @@ def estimate_frame(
 
     Returns the motion-vector field as an int32 grid of shape
     (rows, cols, 2) holding (u, v) per block, plus the per-block results
-    in partition order, each as `search_block` gives it.
+    in partition order, each as `search_block` gives it: both run
+    `_search_blocks`, here over the whole partition.
     """
     _require_pair(current, previous)
     blocks = partition(current, config.n)
     cur, windows = _widen(current, previous, config.n)
-    if algorithm in ("tss", "ds"):  # their first pattern step is costed per batch of blocks
-        results = list(baselines._search(algorithm, cur, windows, blocks, config.w))
-    else:
-        results = [_search_block(algorithm, cur, windows, block, config, i) for i, block in enumerate(blocks)]
+    results = list(_search_blocks(algorithm, cur, windows, blocks, config))
 
     # partition's row-major order is the grid's.
     rows, cols = grid_shape(current.shape, config.n)
@@ -566,5 +565,5 @@ def compensate(previous: np.ndarray, mv_field: np.ndarray, n: int) -> np.ndarray
 
 
 # Imported last, because baselines builds on the names above;
-# `_search_block` and `estimate_frame` look tss and ds up on it when called.
+# `_search_blocks` looks tss and ds up on it when called.
 from . import baselines  # noqa: E402

@@ -52,30 +52,27 @@ class TruncationError(FormatError):
 @dataclass(frozen=True)
 class SequenceSource:
     """Locator for a sequence file. yuv420 needs explicit geometry; y4m
-    reads it from the stream header. frame_count, when set, caps how many
-    frames are yielded."""
+    reads it from the stream header."""
 
     format: str
     path: str
     width: int | None = None
     height: int | None = None
-    frame_count: int | None = None
 
 
 def open_sequence(source: SequenceSource) -> Iterator[np.ndarray]:
-    """Yield the luminance plane of each frame as a uint8 array."""
+    """Yield the luminance plane of each frame as a uint8 array; a frame
+    is read only when the next one is asked for."""
     if source.format not in FORMATS:
         raise ValueError(f"unknown format {source.format!r}, expected {FORMATS}")
-    if source.frame_count is not None and source.frame_count < 1:
-        raise ValueError(f"frame count must be at least 1, got {source.frame_count}")
     if not os.path.exists(source.path):
         raise FileNotFoundError(f"no such sequence: {source.path}")
     if source.format == "y4m":
-        return _iter_y4m(source.path, source.frame_count)
+        return _iter_y4m(source.path)
     if source.width is None or source.height is None:
         raise ValueError("raw yuv420 input needs explicit --width and --height")
     _check_dims(source.width, source.height)
-    return _iter_yuv420(source.path, source.width, source.height, source.frame_count)
+    return _iter_yuv420(source.path, source.width, source.height)
 
 
 def _check_dims(width: int, height: int) -> None:
@@ -87,7 +84,7 @@ def _check_dims(width: int, height: int) -> None:
         )
 
 
-def _iter_y4m(path: str, limit: int | None) -> Iterator[np.ndarray]:
+def _iter_y4m(path: str) -> Iterator[np.ndarray]:
     with open(path, "rb") as stream:
         header = stream.readline(_LINE_LIMIT)
         if not header.startswith(b"YUV4MPEG2"):
@@ -130,7 +127,7 @@ def _iter_y4m(path: str, limit: int | None) -> Iterator[np.ndarray]:
             _check_line(marker, "FRAME marker", path, offset)
             return marker != b""
 
-        yield from _read_frames(stream, path, width, height, limit, at_frame)
+        yield from _read_frames(stream, path, width, height, at_frame)
 
 
 def _check_line(line: bytes, name: str, path: str, offset: int) -> None:
@@ -153,25 +150,18 @@ def _read_up_to(stream, size: int) -> bytes:
     return b"".join(chunks)
 
 
-def _iter_yuv420(
-    path: str, width: int, height: int, limit: int | None
-) -> Iterator[np.ndarray]:
+def _iter_yuv420(path: str, width: int, height: int) -> Iterator[np.ndarray]:
     with open(path, "rb") as stream:
-        yield from _read_frames(
-            stream, path, width, height, limit, lambda: stream.peek(1) != b""
-        )
+        yield from _read_frames(stream, path, width, height, lambda: stream.peek(1) != b"")
 
 
-def _read_frames(
-    stream, path: str, width: int, height: int, limit: int | None, at_frame
-) -> Iterator[np.ndarray]:
-    """Yield the luma plane of each 4:2:0 frame while fewer than `limit`
-    were read and `at_frame()` says another frame starts; a frame cut short
-    raises TruncationError."""
+def _read_frames(stream, path: str, width: int, height: int, at_frame) -> Iterator[np.ndarray]:
+    """Yield the luma plane of each 4:2:0 frame while `at_frame()` says
+    another frame starts; a frame cut short raises TruncationError."""
     y_size = width * height
     chroma_size = y_size // 2
     frames_read = 0
-    while (limit is None or frames_read < limit) and at_frame():
+    while at_frame():
         luma = _read_up_to(stream, y_size)
         if len(luma) < y_size:
             raise TruncationError(f"truncated luma plane in {path}", frames_read)

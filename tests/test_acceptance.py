@@ -271,12 +271,12 @@ def test_criterion_06_baseline_budgets():
         height, width = previous.shape
         for block in partition(current, 16):
             probe = SearchProbe()
-            tss = search_block("tss", current, previous, block, config, 0, probe)
+            tss = search_block("tss", current, previous, block, config, probe)
             assert tss.evaluations <= 25
             assert len({(v.u, v.v) for v in probe.visits}) == tss.evaluations
             probe = SearchProbe()
             # must terminate
-            search_block("ds", current, previous, block, config, 0, probe)
+            search_block("ds", current, previous, block, config, probe)
             umin, umax, vmin, vmax = mv_bounds(block, width, height, 7)
             for visit in probe.visits:
                 assert umin <= visit.u <= umax and vmin <= visit.v <= vmax
@@ -420,7 +420,7 @@ def test_criterion_10_monotone_population_best():
                 break
             probe = SearchProbe()
             config = SearchConfig(rng_seed=seed)
-            search_block("debm", current, previous, block, config, index, probe)
+            search_block("debm", current, previous, block, config, probe)
             best = probe.best_per_generation
             assert all(b <= a for a, b in zip(best, best[1:])), (
                 f"best fitness increased in block {block} seed {seed}"

@@ -55,14 +55,14 @@ class TestThreeStep:
         current = rng.integers(0, 256, (96, 96), dtype=np.uint8)
         previous = rng.integers(0, 256, (96, 96), dtype=np.uint8)
         for block in partition(current, 16):
-            result = search_block("tss", current, previous, block, CONFIG, 0)
+            result = search_block("tss", current, previous, block, CONFIG)
             assert result.evaluations <= 25
             assert result.estimations == 0
 
     def test_zero_motion(self):
         rng = np.random.default_rng(1)
         frame = rng.integers(0, 256, (64, 64), dtype=np.uint8)
-        result = search_block("tss", frame, frame, BlockRef(16, 16, 16), CONFIG, 0)
+        result = search_block("tss", frame, frame, BlockRef(16, 16, 16), CONFIG)
         assert result.mv == (0, 0)
         assert result.sad == 0
 
@@ -71,7 +71,7 @@ class TestThreeStep:
         rng = np.random.default_rng(3)
         previous, current = rolled_pair(rng, 144, 176, 4, 4)
         for block in interior_blocks(current):
-            result = search_block("tss", current, previous, block, CONFIG, 0)
+            result = search_block("tss", current, previous, block, CONFIG)
             assert result.mv == (4, 4)
             assert result.sad == 0
 
@@ -81,14 +81,14 @@ class TestThreeStep:
         previous = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         block = BlockRef(16, 16, 16)
         assert search_block(
-            "tss", current, previous, block, CONFIG, 0
-        ) == search_block("tss", current, previous, block, CONFIG, 0)
+            "tss", current, previous, block, CONFIG
+        ) == search_block("tss", current, previous, block, CONFIG)
 
     def test_small_window(self):
         rng = np.random.default_rng(5)
         frame = rng.integers(0, 256, (48, 48), dtype=np.uint8)
         block = BlockRef(16, 16, 16)
-        result = search_block("tss", frame, frame, block, SearchConfig(w=1), 0)
+        result = search_block("tss", frame, frame, block, SearchConfig(w=1))
         assert result.mv == (0, 0)
 
 
@@ -96,7 +96,7 @@ class TestDiamond:
     def test_zero_motion_costs_one_large_plus_small_diamond(self):
         rng = np.random.default_rng(1)
         frame = rng.integers(0, 256, (64, 64), dtype=np.uint8)
-        result = search_block("ds", frame, frame, BlockRef(16, 16, 16), CONFIG, 0)
+        result = search_block("ds", frame, frame, BlockRef(16, 16, 16), CONFIG)
         assert result.mv == (0, 0)
         assert result.sad == 0
         assert result.evaluations == 9 + 4
@@ -105,7 +105,7 @@ class TestDiamond:
         rng = np.random.default_rng(2)
         previous, current = rolled_pair(rng, 144, 176, 3, 0)
         for block in interior_blocks(current):
-            result = search_block("ds", current, previous, block, CONFIG, 0)
+            result = search_block("ds", current, previous, block, CONFIG)
             assert result.mv == (3, 0)
             assert result.sad == 0
 
@@ -115,7 +115,7 @@ class TestDiamond:
         rng = np.random.default_rng(4)
         previous, current = rolled_pair(rng, 144, 176, 2, 1)
         evaluations = [
-            search_block("ds", current, previous, block, CONFIG, 0).evaluations
+            search_block("ds", current, previous, block, CONFIG).evaluations
             for block in partition(current, 16)
         ]
         assert 9 <= np.mean(evaluations) <= 25
@@ -127,7 +127,7 @@ class TestDiamond:
             previous = rng.integers(0, 256, (48, 48), dtype=np.uint8)
             for block in partition(current, 16):
                 probe = SearchProbe()
-                result = search_block("ds", current, previous, block, CONFIG, 0, probe)
+                result = search_block("ds", current, previous, block, CONFIG, probe)
                 assert len({(v.u, v.v) for v in probe.visits}) == result.evaluations
 
 
@@ -140,7 +140,7 @@ class TestSharedContracts:
         height, width = previous.shape
         for block in partition(current, 16):
             probe = SearchProbe()
-            search_block(algorithm, current, previous, block, CONFIG, 0, probe)
+            search_block(algorithm, current, previous, block, CONFIG, probe)
             umin, umax, vmin, vmax = mv_bounds(block, width, height, 7)
             for visit in probe.visits:
                 assert umin <= visit.u <= umax
@@ -153,7 +153,7 @@ class TestSharedContracts:
         previous = rng.integers(0, 256, (64, 64), dtype=np.uint8)
         for block in partition(current, 16):
             probe = SearchProbe()
-            result = search_block(algorithm, current, previous, block, CONFIG, 0, probe)
+            result = search_block(algorithm, current, previous, block, CONFIG, probe)
             cells = {(v.u, v.v) for v in probe.visits}
             assert len(cells) == len(probe.visits) == result.evaluations
 
@@ -164,7 +164,7 @@ class TestSharedContracts:
             current = rng.integers(0, 256, (64, 64), dtype=np.uint8)
             previous = rng.integers(0, 256, (64, 64), dtype=np.uint8)
             for block in partition(current, 16):
-                fast = search_block(algorithm, current, previous, block, CONFIG, 0)
+                fast = search_block(algorithm, current, previous, block, CONFIG)
                 exhaustive = full_search(current, previous, block, 7)
                 assert fast.sad >= exhaustive.sad
 
@@ -234,7 +234,7 @@ class TestScalarReference:
         expected, visits = scalar_search(algorithm, current, previous, block, w)
         probe = SearchProbe()
         config = SearchConfig(w=w, n=block.n)
-        assert search_block(algorithm, current, previous, block, config, 0, probe) == expected
+        assert search_block(algorithm, current, previous, block, config, probe) == expected
         assert probe.visits == visits
 
 

@@ -551,6 +551,17 @@ class TestArgumentSurface:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["clip.y4m"]
 
+    def test_frame_cap_stops_before_a_frame_cut_short(self, tmp_path, capsys):
+        # a yuv clip of two 16x16 frames and 100 bytes of a third: --frames 2
+        # reads the two and never reaches the third
+        clip = tmp_path / "clip.yuv"
+        clip.write_bytes(bytes(range(128)) * 6 + bytes(100))
+        given = ["--input", str(clip), "--width", "16", "--height", "16"]
+        assert run_cli("run", "--algo", "fsa", *given, "--frames", "2") == 0
+        assert "frame_pairs=1 " in capsys.readouterr().out
+        assert run_cli("run", "--algo", "fsa", *given) == 1
+        assert "truncated luma plane" in capsys.readouterr().err
+
     @pytest.mark.parametrize("frames", ["0", "-1"])
     def test_synth_frame_count_below_one_rejected(self, tmp_path, capsys, frames):
         # synth input names the bound in the words Y4M and YUV input use

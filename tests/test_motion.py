@@ -188,6 +188,14 @@ class TestFullSearch:
                 assert result.sad == cost
                 assert result.evaluations == count
 
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_search_range_below_one_rejected(self, w):
+        # the same refusal as SearchConfig's; unchecked, w = 0 searched the
+        # origin alone and w = -1 failed inside numpy
+        frame = np.zeros((48, 48), dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"search range must be at least 1, got {w}"):
+            full_search(frame, frame, BlockRef(16, 16, 16), w)
+
     def test_tie_break_prefers_smallest_v_then_u(self):
         # constant frames make every candidate cost 0
         flat = np.full((64, 64), 77, dtype=np.uint8)
@@ -200,7 +208,7 @@ class TestFullSearch:
         previous = random_frame(rng, 64, 64)
         probe = SearchProbe()
         result = search_block(
-            "fsa", current, previous, BlockRef(16, 16, 16), SearchConfig(), 0, probe
+            "fsa", current, previous, BlockRef(16, 16, 16), SearchConfig(), probe
         )
         assert len(probe.visits) == 225
         assert all(visit.kind == EVALUATED for visit in probe.visits)
@@ -305,7 +313,7 @@ class TestDebmFrame:
         assert calls == [(block, 9 ^ index) for index, block in enumerate(blocks)]
 
         assert results == [
-            search_block("debm", current, previous, block, config, index)
+            search_block("debm", current, previous, block, config)
             for index, block in enumerate(blocks)
         ]
 
@@ -323,7 +331,7 @@ class TestDebmFrame:
 
         monkeypatch.setattr(estimator, "fitness_of", counting)
         block = BlockRef(16, 16, 16)
-        result = search_block("debm", current, previous, block, SearchConfig(), 0)
+        result = search_block("debm", current, previous, block, SearchConfig())
         assert len(calls) == result.evaluations + result.estimations == 40
 
     def test_frame_makes_every_call_the_benchmark_tracer_hooks(self, monkeypatch):
@@ -505,7 +513,7 @@ class TestDebmSearch:
         rng = np.random.default_rng(11)
         previous, current = rolled_pair(rng, 64, 64, 2, -1)
         for block in partition(current, 16):
-            result = search_block("debm", current, previous, block, self.CONFIG, 0)
+            result = search_block("debm", current, previous, block, self.CONFIG)
             requests = result.evaluations + result.estimations
             assert requests == 40
             assert result.evaluations >= 5
@@ -515,7 +523,7 @@ class TestDebmSearch:
         previous, current = rolled_pair(rng, 64, 64, 3, 2)
         probe = SearchProbe()
         search_block(
-            "debm", current, previous, BlockRef(16, 16, 16), self.CONFIG, 0, probe
+            "debm", current, previous, BlockRef(16, 16, 16), self.CONFIG, probe
         )
         first_five = probe.visits[:5]
         assert [visit.kind for visit in first_five] == [EVALUATED] * 5
@@ -529,7 +537,7 @@ class TestDebmSearch:
         def search(seed):
             probe = SearchProbe()
             config = SearchConfig(rng_seed=seed)
-            result = search_block("debm", current, previous, block, config, 0, probe)
+            result = search_block("debm", current, previous, block, config, probe)
             return result, probe.visits
 
         first = search(0)
@@ -548,7 +556,7 @@ class TestDebmSearch:
         blocks = partition(frame, 16)
         exact = 0
         for index, block in enumerate(blocks):
-            result = search_block("debm", frame, frame, block, self.CONFIG, index)
+            result = search_block("debm", frame, frame, block, self.CONFIG)
             assert result.sad == sad(frame, frame, block, result.mv)
             exact += result.mv == (0, 0) and result.sad == 0
         assert exact >= 0.85 * len(blocks)
@@ -558,7 +566,7 @@ class TestDebmSearch:
         previous, current = rolled_pair(rng, 96, 96, 3, -2)
         for index, block in enumerate(partition(current, 16)):
             result = search_block(
-                "debm", current, previous, block, self.CONFIG, index
+                "debm", current, previous, block, self.CONFIG
             )
             assert result.sad == sad(current, previous, block, result.mv)
 
@@ -568,7 +576,7 @@ class TestDebmSearch:
         for index, block in enumerate(partition(current, 16)):
             probe = SearchProbe()
             result = search_block(
-                "debm", current, previous, block, self.CONFIG, index, probe
+                "debm", current, previous, block, self.CONFIG, probe
             )
             # each evaluated cell's cost recomputed as its true SAD; min
             # keeps the earliest of equal costs
@@ -591,7 +599,7 @@ class TestDebmSearch:
                 continue
             probe = SearchProbe()
             result = search_block(
-                "debm", current, previous, block, self.CONFIG, index, probe
+                "debm", current, previous, block, self.CONFIG, probe
             )
             cells = [(v.u, v.v) for v in probe.visits if v.kind == EVALUATED]
             assert len(cells) == len(set(cells)) == result.evaluations
@@ -655,7 +663,7 @@ class TestDebmSearch:
         rng = np.random.default_rng(16)
         previous, current = rolled_pair(rng, 96, 96, 1, 1)
         for index, block in enumerate(partition(current, 16)):
-            debm = search_block("debm", current, previous, block, self.CONFIG, index)
+            debm = search_block("debm", current, previous, block, self.CONFIG)
             exhaustive = full_search(current, previous, block, 7)
             assert debm.sad >= exhaustive.sad
 
@@ -664,7 +672,7 @@ class TestDebmSearch:
         previous, current = rolled_pair(rng, 64, 64, 2, 2)
         probe = SearchProbe()
         result = search_block(
-            "debm", current, previous, BlockRef(32, 32, 16), self.CONFIG, 0, probe
+            "debm", current, previous, BlockRef(32, 32, 16), self.CONFIG, probe
         )
         assert len(probe.visits) == result.evaluations + result.estimations
         evaluated = sum(1 for visit in probe.visits if visit.kind == EVALUATED)
@@ -839,7 +847,7 @@ class TestDebmPinned:
         block = partition(current, 16)[index]
         probe = SearchProbe()
         search_block(
-            "debm", current, previous, block, SearchConfig(rng_seed=1), index, probe
+            "debm", current, previous, block, SearchConfig(rng_seed=1), probe
         )
         visits, best_per_generation = self.PROBES[index]
         kinds = {"e": EVALUATED, "c": ESTIMATED}
@@ -935,7 +943,7 @@ class TestSearchBlock:
         umin, umax, vmin, vmax = mv_bounds(block, width, height, config.w)
         exhaustive = estimate_frame(current, previous, config, "fsa")[1][index]
         for algorithm in ALGORITHMS:
-            result = search_block(algorithm, current, previous, block, config, index)
+            result = search_block(algorithm, current, previous, block, config)
             assert result == estimate_frame(current, previous, config, algorithm)[1][index]
             assert umin <= result.mv.u <= umax and vmin <= result.mv.v <= vmax
             assert result.sad >= exhaustive.sad
@@ -943,7 +951,7 @@ class TestSearchBlock:
 
             probe = SearchProbe()
             probed = search_block(
-                algorithm, current, previous, block, config, index, probe
+                algorithm, current, previous, block, config, probe
             )
             assert probed == result
             if algorithm == "debm":
@@ -968,21 +976,38 @@ class TestSearchBlock:
                 assert len(cells) == len(probe.visits) == result.evaluations
 
     def test_debm_seed_derives_from_block_index(self):
+        # Block (16, 16) of a 48x48 frame at n = 16 is block 4 in partition
+        # order, so it runs from rng_seed ^ 4; block 0 keeps rng_seed. The
+        # oracle is a plain run at that seed, outside the derivation.
         rng = np.random.default_rng(24)
         previous, current = rolled_pair(rng, 48, 48, 2, 1)
-        block = BlockRef(16, 16, 16)
         config = SearchConfig(rng_seed=40)
-        seeded = SearchConfig(rng_seed=40 ^ 4)
-        probe = SearchProbe()
-        result = search_block("debm", current, previous, block, config, 4, probe)
-        # The oracle is a plain run at seed 40 ^ 4, outside the derivation;
-        # block 0 keeps rng_seed unchanged.
         wide = _widen(current, previous, 16)
-        assert result == _debm_search(*wide, block, 7, 40 ^ 4)
-        assert search_block(
-            "debm", current, previous, block, seeded, 0
-        ) == _debm_search(*wide, block, 7, 40 ^ 4)
-        assert len(probe.best_per_generation) == 8 and len(probe.visits) == 40
+        for block, seed in ((BlockRef(16, 16, 16), 40 ^ 4), (BlockRef(0, 0, 16), 40)):
+            probe, oracle = SearchProbe(), SearchProbe()
+            result = search_block("debm", current, previous, block, config, probe)
+            assert result == _debm_search(*wide, block, 7, seed, oracle)
+            assert probe == oracle
+            assert len(probe.best_per_generation) == 8 and len(probe.visits) == 40
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "block, match",
+        [
+            (BlockRef(17, 16, 16), "partition grid"),  # misaligned anchor
+            (BlockRef(8, 8, 8), "partition grid"),  # block.n != config.n
+            (BlockRef(32, 0, 16), "does not fit"),  # aligned, in the remainder strip
+        ],
+        ids=["misaligned", "other-size", "remainder-strip"],
+    )
+    def test_block_off_the_partition_rejected(self, algorithm, block, match):
+        # Only the blocks of partition(current, config.n) have an index in
+        # partition order, so no other block is searched.
+        frame = np.zeros((40, 40), dtype=np.uint8)
+        with pytest.raises(ValueError, match=match) as info:
+            search_block(algorithm, frame, frame, block, SearchConfig(n=16))
+        if match == "partition grid":
+            assert "valid x: [0, 16], valid y: [0, 16]" in str(info.value)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_used_probe_rejected(self, algorithm):
@@ -992,29 +1017,29 @@ class TestSearchBlock:
         previous, current = rolled_pair(rng, 48, 48, 2, 1)
         block, config = BlockRef(16, 16, 16), SearchConfig()
         probe = SearchProbe()
-        search_block(algorithm, current, previous, block, config, 0, probe)
+        search_block(algorithm, current, previous, block, config, probe)
         visits = list(probe.visits)
         assert visits
         with pytest.raises(ValueError, match="SearchProbe"):
-            search_block(algorithm, current, previous, block, config, 0, probe)
+            search_block(algorithm, current, previous, block, config, probe)
         assert probe.visits == visits
         with pytest.raises(ValueError, match="SearchProbe"):
             search_block(
-                algorithm, current, previous, block, config, 0,
+                algorithm, current, previous, block, config,
                 SearchProbe(best_per_generation=[1.0]),
             )
 
     def test_unknown_algorithm_rejected(self):
         frame = np.zeros((16, 16), dtype=np.uint8)
         with pytest.raises(ValueError):
-            search_block("zigzag", frame, frame, BlockRef(0, 0, 16), SearchConfig(), 0)
+            search_block("zigzag", frame, frame, BlockRef(0, 0, 16), SearchConfig())
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_off_frame_block_rejected(self, algorithm):
         frame = np.zeros((64, 64), dtype=np.uint8)
         block = BlockRef(60, 60, 16)
         with pytest.raises(ValueError, match="does not fit the 64x64 frame"):
-            search_block(algorithm, frame, frame, block, SearchConfig(), 0)
+            search_block(algorithm, frame, frame, block, SearchConfig())
 
 
 class TestDrawCache:
@@ -1045,7 +1070,7 @@ class TestDrawCache:
         assert outcomes[2].frame_index == 3
         for index, block in enumerate(partition(frames[3], 16)):
             de._table.cache_clear()
-            result = search_block("debm", frames[3], frames[2], block, self.CONFIG, index)
+            result = search_block("debm", frames[3], frames[2], block, self.CONFIG)
             assert result == outcomes[2].results[index]
 
 

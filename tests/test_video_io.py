@@ -46,29 +46,6 @@ class TestY4m:
         assert frames[0].shape == (16, 16)
         assert frames[0].tobytes() == luma  # lossless luma extraction
 
-    def test_multiple_frames_and_limit(self, tmp_path):
-        rng = np.random.default_rng(1)
-        frame_payload = lambda: b"FRAME\n" + luma_bytes(rng, 384)
-        payload = b"YUV4MPEG2 W16 H16 F30:1 Ip A1:1 C420jpeg\n" + b"".join(
-            frame_payload() for _ in range(3)
-        )
-        path = tmp_path / "clip.y4m"
-        path.write_bytes(payload)
-        assert len(list(open_sequence(SequenceSource("y4m", str(path))))) == 3
-        limited = SequenceSource("y4m", str(path), frame_count=2)
-        assert len(list(open_sequence(limited))) == 2
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_frame_count_below_one_rejected(self, tmp_path, count):
-        # unchecked, a count below 1 reads no frame, and the CLI then
-        # blames the clip: "need at least two frames, got 0"
-        path = tmp_path / "clip.y4m"
-        path.write_bytes(b"YUV4MPEG2 W16 H16\n" + (b"FRAME\n" + bytes(384)) * 2)
-        for source in (SequenceSource("y4m", str(path), frame_count=count),
-                       SequenceSource("yuv420", str(path), 16, 16, frame_count=count)):
-            with pytest.raises(ValueError, match=f"frame count must be at least 1, got {count}"):
-                open_sequence(source)
-
     def test_bad_signature(self, tmp_path):
         source = self.write(tmp_path / "bad.y4m", b"JUNKHEADER\nFRAME\n")
         with pytest.raises(FormatError) as info:
