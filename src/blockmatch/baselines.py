@@ -1,10 +1,12 @@
 """Classical fixed-pattern fast searches: three-step and diamond.
 
 Both share the SAD cost, skip candidates outside the valid displacement
-region, cost a pattern step's unseen cells in one gather from the shared
-window view, cache every computed cost so a position is never evaluated
-twice, and report the same per-block accounting as the other algorithms.
-`_search` runs them over a frame's blocks or one, for `motion._search_blocks`.
+region, cost a position at most once, and report the same per-block
+accounting as the other algorithms. `_search` runs them over a frame's
+blocks or one, for `motion._search_blocks`: it walks a batch of blocks in
+lockstep, costing each pattern step's unseen in-box cells of every block
+still walking in one gather from the shared window view, then replays each
+block's walk through `_tss_search` or `_ds_search`, which look the costs up.
 A SAD here is exactly the one `motion.sad` computes, summed by `_abs_sum`.
 """
 
@@ -20,6 +22,7 @@ from .motion import (
     SearchProbe,
     _abs_sum,
     _bounds,
+    _sad_accumulator,
 )
 
 # Large diamond: center first so a tie never moves the center, which keeps
@@ -28,32 +31,32 @@ _LARGE_DIAMOND = ((0, 0), (0, -2), (-1, -1), (1, -1), (-2, 0), (2, 0), (-1, 1), 
 _SMALL_DIAMOND = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
 # Three-step search's 9-point grid in v-major order, scaled by each step.
 _GRID = tuple((du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1))
-# Bytes of one batch's (B, 9, n, n) int16 first-step gather: B is 113 at n = 8, 28 at n = 16.
+# The lockstep's patterns as offset tables: _DIAMONDS[axis, kind, cell]
+# holds the large (kind 0) and small (kind 1) diamond's u (axis 0) and v
+# (axis 1), and _GRID_OFFSETS[axis, 0, cell] the unit grid. The small
+# diamond is padded with its center, which its large diamond costed and
+# which wins every tie as the first cell, so padding is neither costed
+# nor picked.
+_DIAMONDS = np.array([_LARGE_DIAMOND, _SMALL_DIAMOND + ((0, 0),) * 4], np.int8).transpose(2, 0, 1)
+_GRID_OFFSETS = np.array(_GRID).T[:, None, :]
+# Bytes of one pattern step's compacted (F, n, n) int16 gather: a step
+# costs at most 9 cells of each of a batch's B blocks, and B is 113 at
+# n = 8, 28 at n = 16.
 _BATCH_BYTES = 128 * 1024
 
 
 class _CachedCost:
-    """SAD with a per-search visited-position cache, `seen`, which starts as
-    the block's first-step costs. A call takes one pattern step's distinct
-    cells inside `bounds`, the valid box, costs the unseen ones in one gather
-    of their patches from the window view, adding them to `seen` in visit
-    order, and returns the step's SADs in order, summed by `_abs_sum`."""
+    """A block's SADs, `seen`: the {cell: SAD} dict that `_search`'s
+    lockstep costed for it, in the order its walk first visits the cells.
+    A call takes one pattern step's cells inside `bounds`, the valid box,
+    and returns their SADs in order; a cell the lockstep did not cost
+    raises KeyError."""
 
-    def __init__(self, cur, windows, block, w, seen: dict[tuple[int, int], int]):
-        x, y, n = self.block = block
-        self.target = cur[y : y + n, x : x + n]
-        self.windows = windows
+    def __init__(self, windows, block, w, seen: dict[tuple[int, int], int]):
         self.bounds = _bounds(windows, block, w)
         self.seen = seen
 
     def __call__(self, cells: list[tuple[int, int]]) -> list[int]:
-        fresh = [cell for cell in cells if cell not in self.seen]
-        if fresh:
-            x, y, n = self.block
-            # index arrays gather faster than lists, which numpy converts
-            diff = self.windows[np.array([y + v for _, v in fresh]), np.array([x + u for u, _ in fresh])]
-            diff -= self.target
-            self.seen.update(zip(fresh, _abs_sum(diff, (1, 2), n).tolist()))
         return [self.seen[cell] for cell in cells]
 
     def result(self, u: int, v: int, probe: SearchProbe | None) -> BlockResult:
@@ -74,11 +77,11 @@ def _scan_min(cost: _CachedCost, center, offsets, scale=1):
     return cells[values.index(min(values))]
 
 
-def _tss_search(cur, windows, block: BlockRef, w: int, first, probe: SearchProbe | None) -> BlockResult:
+def _tss_search(windows, block: BlockRef, w: int, seen, probe: SearchProbe | None) -> BlockResult:
     """Three-step search: 9-point grids at halving step sizes, each pass
     recentered on the running minimum. At w=7 the steps are 4, 2, 1 for at
     most 25 distinct candidates."""
-    cost = _CachedCost(cur, windows, block, w, first)
+    cost = _CachedCost(windows, block, w, seen)
     center = (0, 0)
     # The origin is requested on its own: it is the first pattern step.
     cost([center])
@@ -89,10 +92,10 @@ def _tss_search(cur, windows, block: BlockRef, w: int, first, probe: SearchProbe
     return cost.result(*center, probe)
 
 
-def _ds_search(cur, windows, block: BlockRef, w: int, first, probe: SearchProbe | None) -> BlockResult:
+def _ds_search(windows, block: BlockRef, w: int, seen, probe: SearchProbe | None) -> BlockResult:
     """Diamond search: the 9-point large diamond walks until its minimum
     stays central, then one 5-point small diamond refines the result."""
-    cost = _CachedCost(cur, windows, block, w, first)
+    cost = _CachedCost(windows, block, w, seen)
     center = (0, 0)
     while True:
         minimum = _scan_min(cost, center, _LARGE_DIAMOND)
@@ -102,31 +105,127 @@ def _ds_search(cur, windows, block: BlockRef, w: int, first, probe: SearchProbe 
     return cost.result(*_scan_min(cost, center, _SMALL_DIAMOND), probe)
 
 
+class _Lockstep:
+    """A batch of blocks walking one pattern step at a time, in window
+    coordinates (x + u, y + v). Each block logs the cells it has costed
+    and their SADs, in the order its scalar walk costs them, a cell packed
+    in one key, Y * cols + X, which is unique inside the frame. A step
+    compares its cells with the log, so the state per block is its own
+    costed cells at any search range."""
+
+    def __init__(self, cur, windows, batch: list[BlockRef], w: int):
+        rows, cols, self.n, _ = windows.shape
+        self.windows, self.cols = windows, cols
+        x, y, _ = np.array(batch).T
+        # each block's own pixels, contiguous, so a cell's copy is one run
+        self.targets = sliding_window_view(cur, (self.n, self.n))[y, x]
+        self.anchor = np.array([x, y])[:, :, None]
+        self.at = self.anchor.copy()
+        # (low or high, X or Y, block, 1): the valid box of each block
+        self.box = np.array([np.maximum(self.anchor - w, 0),
+                             np.minimum(self.anchor + w, np.array([cols - 1, rows - 1])[:, None, None])])
+        # int32 keys, where they fit, halve the buffers that numpy's
+        # broadcast comparison with the log allocates; the least key
+        # marks an empty slot
+        key_type = np.int32 if rows * cols < np.iinfo(np.int32).max else np.int64
+        self.empty = np.array(np.iinfo(key_type).min, key_type)
+        self.keys = np.full((len(batch), 9), self.empty)
+        self.sads = np.zeros((len(batch), 9), _sad_accumulator(self.n))
+        # above any SAD of an n x n block, in the SADs' own dtype
+        self.top = np.iinfo(self.sads.dtype).max
+        self.count = np.zeros(len(batch), np.intp)
+
+    def scan(self, active, offsets):
+        """Move each `active` block's center to the first minimum, in
+        pattern order, of its cells center + offsets inside its box,
+        costing the unseen ones in one gather; return the minima's
+        pattern indices. offsets broadcasts to (2, blocks, pattern)."""
+        cells = self.at[:, active] + offsets
+        low, high = self.box[:, :, active]
+        inside = ((low <= cells) & (cells <= high)).all(0)
+        # a cell outside its box may wrap to any key; it is never logged
+        keys = (cells[1] * self.cols + cells[0]).astype(self.keys.dtype)
+        match = keys[:, :, None] == self.keys[active, None, :]
+        fresh = inside & ~match.any(2)
+        values = self.sads[active[:, None], match.argmax(2)]
+        del match
+        if fresh.any():
+            blocks = active.repeat(fresh.sum(1))
+            values[fresh] = sads = self._cost(blocks, cells, fresh)
+            self._log(active, fresh, blocks, keys[fresh], sads)
+        values[~inside] = self.top
+        best = values.argmin(1)
+        self.at[:, active] = cells[:, np.arange(len(active)), best, None]
+        return best
+
+    def _cost(self, blocks, cells, fresh):
+        """SADs of the `fresh` cells, in row-major order, of the batch's
+        `blocks`, from one gather."""
+        diff = self.windows[cells[1][fresh], cells[0][fresh]]
+        # a batch's worth of targets at a time: one per cell at once would
+        # double the gather's memory
+        size = len(self.targets)
+        for start in range(0, len(diff), size):
+            part = slice(start, start + size)
+            diff[part] -= self.targets[blocks[part]]
+        return _abs_sum(diff, (1, 2), self.n)
+
+    def _log(self, active, fresh, blocks, keys, sads):
+        """Append the `fresh` cells' keys and SADs to their blocks' logs,
+        in pattern order."""
+        rank = np.cumsum(fresh, 1)
+        slots = self.count[blocks] + rank[fresh] - 1
+        self.count[active] += rank[:, -1]
+        if slots.max() >= self.keys.shape[1]:
+            grow = len(self.keys), 9
+            self.keys = np.concatenate([self.keys, np.full(grow, self.empty)], 1)
+            self.sads = np.concatenate([self.sads, np.zeros(grow, self.sads.dtype)], 1)
+        self.keys[blocks, slots] = keys
+        self.sads[blocks, slots] = sads
+
+    def seen(self):
+        """Each block's {cell: SAD} dict, one at a time: a batch's Python
+        ints at once would cost peak memory."""
+        v, u = np.divmod(self.keys, self.cols)
+        u -= self.anchor[0]
+        v -= self.anchor[1]
+        for us, vs, sads, count in zip(u, v, self.sads, self.count.tolist()):
+            yield dict(zip(zip(us[:count].tolist(), vs[:count].tolist()), sads[:count].tolist()))
+
+
+def _tss_lockstep(walk: _Lockstep, w: int) -> None:
+    every = np.arange(len(walk.keys))
+    walk.scan(every, 0)
+    step = (w + 1) // 2
+    while step >= 1:
+        walk.scan(every, _GRID_OFFSETS * step)
+        step //= 2
+
+
+def _ds_lockstep(walk: _Lockstep, w: int) -> None:
+    # small[i] is 1 once block i's large diamond stays central
+    small = np.zeros(len(walk.keys), np.intp)
+    active = np.arange(len(walk.keys))
+    while active.size:
+        kind = small[active]
+        best = walk.scan(active, _DIAMONDS[:, kind])
+        small[active[best == 0]] = 1
+        active = active[kind == 0]
+
+
 def _search(algorithm: str, cur, windows, blocks: list[BlockRef], w: int, probe: SearchProbe | None = None):
-    """Yield each block's tss or ds result in order. Their first step's cells
-    (tss's origin and first grid, ds's first large diamond) depend only on
-    the box, so one (B, 9, n, n) gather costs them for a batch of blocks; a
-    cell outside a block's box reads its (0, 0) patch and is dropped. Each
-    block walks from its {cell: SAD} dict before the next batch is costed."""
+    """Yield each block's tss or ds result in order. A batch of blocks
+    walks in lockstep, one gather per pattern step for the blocks still
+    walking (tss's origin and grids; ds's large diamonds until each
+    block's minimum stays central, then its small diamond), and then each
+    block replays its walk from the {cell: SAD} dict it costed."""
     # looked up per call, so a replaced module attribute sees every block
     search = _tss_search if algorithm == "tss" else _ds_search
-    if algorithm == "tss":
-        step = (w + 1) // 2
-        cells = [(0, 0)] + [(du * step, dv * step) for du, dv in _GRID if du or dv]
-    else:
-        cells = [(du, dv) for du, dv in _LARGE_DIAMOND if abs(du) <= w and abs(dv) <= w]
-    us, vs = np.array(cells).T
-    rows, cols, n, _ = windows.shape
-    targets = sliding_window_view(cur, (n, n))
-    size = max(1, _BATCH_BYTES // (len(cells) * n * n * 2))
+    lockstep = _tss_lockstep if algorithm == "tss" else _ds_lockstep
+    n = windows.shape[2]
+    size = max(1, _BATCH_BYTES // (9 * n * n * 2))
     for start in range(0, len(blocks), size):
-        x, y, _ = np.array(batch := blocks[start : start + size]).T[:, :, None]
-        inside = (-x <= us) & (us < cols - x) & (-y <= vs) & (vs < rows - y)
-        diff = windows[y + np.where(inside, vs, 0), x + np.where(inside, us, 0)]
-        diff -= targets[y, x]
-        sads = _abs_sum(diff, (2, 3), n)
-        del diff  # so the next batch's gather never meets this one's
-        # one row at a time: a batch's Python ints at once cost peak memory
-        for block, row, keep in zip(batch, sads, inside):
-            first = {cell: value for cell, value, ok in zip(cells, row.tolist(), keep.tolist()) if ok}
-            yield search(cur, windows, block, w, first, probe)
+        walk = _Lockstep(cur, windows, batch := blocks[start : start + size], w)
+        lockstep(walk, w)
+        for block, seen in zip(batch, walk.seen()):
+            yield search(windows, block, w, seen, probe)

@@ -415,7 +415,7 @@ def test_criterion_10_monotone_population_best():
     blocks = partition(current, 16)
     searches = 0
     for seed in range(11):
-        for index, block in enumerate(blocks):
+        for block in blocks:
             if searches >= 1000:
                 break
             probe = SearchProbe()

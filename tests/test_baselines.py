@@ -240,13 +240,18 @@ class TestScalarReference:
 
 def frame_cases():
     """(current, previous, n, w) pairs for the frame-level searches: more
-    blocks than one first-step batch at n = 8 (113) and n = 16 (28), a
-    window wider than the frame, constant frames where every cost ties,
-    and sizes that leave remainder pixels."""
+    blocks than one batch at n = 8 (113) and n = 16 (28), a window wider
+    than the frame, constant frames where every cost ties, sizes that leave
+    remainder pixels, and one batch whose walks end far apart: its
+    constant top half stops after one large diamond while its textured
+    bottom half walks towards (-11, 9)."""
     rng = np.random.default_rng(28)
     textured = rolled_pair(rng, 104, 136, 3, -2)
     noise = rng.integers(0, 256, (2, 24, 24), dtype=np.uint8)
     flat = np.full((40, 56), 77, np.uint8)
+    half_flat = rolled_pair(rng, 72, 96, -11, 9)
+    for frame in half_flat:
+        frame[:32] = 128
     return {
         "n8_batches": (*textured, 8, 7),
         "n16_batches": (*textured, 16, 7),
@@ -254,6 +259,7 @@ def frame_cases():
         "constant": (flat, flat, 8, 7),
         "constant_w1": (flat, flat.copy(), 5, 1),
         "odd_sizes": (*rng.integers(0, 256, (2, 45, 67), dtype=np.uint8), 6, 11),
+        "walks_end_apart": (*half_flat[::-1], 8, 16),
     }
 
 
@@ -284,13 +290,14 @@ class TestBatchedFirstStep:
             assert result == scalar_search(algorithm, current, previous, block, w)[0]
 
     @BASELINES
-    @pytest.mark.parametrize("case", ["n8_batches", "w40_on_24x24"])
+    @pytest.mark.parametrize("case", ["n8_batches", "w40_on_24x24", "constant"])
     def test_first_step_calls_gather_no_cell(self, monkeypatch, algorithm, case):
-        # Each block's `_CachedCost` logs the cells its calls gather, counted
-        # through the module's `_abs_sum`, which the batched first step also
-        # sums with, outside any call.
+        # The lockstep costs every cell a walk visits, outside any
+        # `_CachedCost` call, through the module's `_abs_sum`, and no other:
+        # a cell it missed would fail its walk's lookup, and one it summed
+        # twice or never visited would be a SAD no result counts.
         current, previous, n, w = FRAME_CASES[case]
-        calls, summed = {}, [0]
+        summed, in_calls = [0], [0]
         abs_sum, call = baselines._abs_sum, baselines._CachedCost.__call__
 
         def counting_abs_sum(diff, axis, n):
@@ -300,33 +307,30 @@ class TestBatchedFirstStep:
         def counting_call(cost, cells):
             before = summed[0]
             values = call(cost, cells)
-            calls.setdefault(cost, []).append(summed[0] - before)
+            in_calls[0] += summed[0] - before
             return values
 
         monkeypatch.setattr(baselines, "_abs_sum", counting_abs_sum)
         monkeypatch.setattr(baselines._CachedCost, "__call__", counting_call)
         _, results = estimate_frame(current, previous, SearchConfig(w=w, n=n), algorithm)
-        assert len(calls) == len(results)
-        costless = 2 if algorithm == "tss" else 1
-        for gathered in calls.values():
-            assert gathered[:costless] == [0] * costless
-        # the batches sum all 9 first-step cells of every block, dropped ones
-        # included, and nothing else outside a call
-        assert summed[0] - sum(map(sum, calls.values())) == 9 * len(results)
+        assert in_calls[0] == 0
+        assert summed[0] == sum(r.evaluations for r in results)
 
+    @BASELINES
     @pytest.mark.parametrize("n", [8, 16, 64])
-    def test_first_step_batch_memory_is_bounded(self, monkeypatch, n):
-        # Costing a 640x360 frame's first steps, with each walk stubbed out,
-        # holds one batch at a time, so its peak stays near the byte budget
-        # whatever the block size; batches of a fixed block count would not.
+    def test_first_step_batch_memory_is_bounded(self, monkeypatch, algorithm, n):
+        # Walking a 640x360 frame's blocks in lockstep, with each replay
+        # stubbed out, holds one batch at a time, so its peak stays near the
+        # byte budget whatever the block size and however long ds's walks
+        # run; batches of a fixed block count would not.
         rng = np.random.default_rng(n)
         current, previous = rng.integers(0, 256, (2, 360, 640), dtype=np.uint8)
         cur, windows = _widen(current, previous, n)
         blocks = partition(current, n)
-        monkeypatch.setattr(baselines, "_tss_search", lambda *args: None)
+        monkeypatch.setattr(baselines, f"_{algorithm}_search", lambda *args: None)
         tracemalloc.start()
         try:
-            for _ in baselines._search("tss", cur, windows, blocks, 16):
+            for _ in baselines._search(algorithm, cur, windows, blocks, 16):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:

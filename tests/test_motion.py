@@ -314,7 +314,7 @@ class TestDebmFrame:
 
         assert results == [
             search_block("debm", current, previous, block, config)
-            for index, block in enumerate(blocks)
+            for block in blocks
         ]
 
     def test_every_request_goes_through_module_dispatch(self, monkeypatch):
@@ -555,7 +555,7 @@ class TestDebmSearch:
         frame = random_frame(rng, 144, 176)
         blocks = partition(frame, 16)
         exact = 0
-        for index, block in enumerate(blocks):
+        for block in blocks:
             result = search_block("debm", frame, frame, block, self.CONFIG)
             assert result.sad == sad(frame, frame, block, result.mv)
             exact += result.mv == (0, 0) and result.sad == 0
@@ -564,7 +564,7 @@ class TestDebmSearch:
     def test_reported_cost_is_ground_truth(self):
         rng = np.random.default_rng(15)
         previous, current = rolled_pair(rng, 96, 96, 3, -2)
-        for index, block in enumerate(partition(current, 16)):
+        for block in partition(current, 16):
             result = search_block(
                 "debm", current, previous, block, self.CONFIG
             )
@@ -573,7 +573,7 @@ class TestDebmSearch:
     def test_reports_lowest_computed_cost(self):
         rng = np.random.default_rng(18)
         previous, current = rolled_pair(rng, 96, 96, 3, -2)
-        for index, block in enumerate(partition(current, 16)):
+        for block in partition(current, 16):
             probe = SearchProbe()
             result = search_block(
                 "debm", current, previous, block, self.CONFIG, probe
@@ -594,7 +594,7 @@ class TestDebmSearch:
         rng = np.random.default_rng(19)
         previous, current = rolled_pair(rng, 96, 96, -2, 3)
         height, width = current.shape
-        for index, block in enumerate(partition(current, 16)):
+        for block in partition(current, 16):
             if mv_bounds(block, width, height, 7) != (-7, 7, -7, 7):
                 continue
             probe = SearchProbe()
@@ -662,7 +662,7 @@ class TestDebmSearch:
     def test_never_beats_exhaustive_search(self):
         rng = np.random.default_rng(16)
         previous, current = rolled_pair(rng, 96, 96, 1, 1)
-        for index, block in enumerate(partition(current, 16)):
+        for block in partition(current, 16):
             debm = search_block("debm", current, previous, block, self.CONFIG)
             exhaustive = full_search(current, previous, block, 7)
             assert debm.sad >= exhaustive.sad
