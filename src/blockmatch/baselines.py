@@ -3,10 +3,11 @@
 Both share the SAD cost, skip candidates outside the valid displacement
 region, cost a position at most once, and report the same per-block
 accounting as the other algorithms. `_search` runs them over a frame's
-blocks or one, for `motion._search_blocks`: it walks a batch of blocks in
-lockstep, costing each pattern step's unseen in-box cells of every block
-still walking in one gather from the shared window view, then replays each
-block's walk through `_tss_search` or `_ds_search`, which look the costs up.
+blocks or one, for `motion._search_blocks`: it walks a walking set of
+blocks in lockstep, costing each pattern step's unseen in-box cells of
+every block still walking a gather chunk at a time, one gather each from
+the shared window view, then replays each block's walk through
+`_tss_search` or `_ds_search`, which look the costs up.
 A SAD here is exactly the one `motion.sad` computes, summed by `_abs_sum`.
 """
 
@@ -39,10 +40,19 @@ _GRID = tuple((du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1))
 # nor picked.
 _DIAMONDS = np.array([_LARGE_DIAMOND, _SMALL_DIAMOND + ((0, 0),) * 4], np.int8).transpose(2, 0, 1)
 _GRID_OFFSETS = np.array(_GRID).T[:, None, :]
-# Bytes of one pattern step's compacted (F, n, n) int16 gather: a step
-# costs at most 9 cells of each of a batch's B blocks, and B is 113 at
-# n = 8, 28 at n = 16.
+# Bytes of one gather chunk's compacted (F, n, n) int16 gather: a step
+# costs at most 9 cells of each of a chunk's blocks.
 _BATCH_BYTES = 128 * 1024
+# Bytes a walking set allows each block for its box, centre and a log of
+# about 90 cells, so that a walking set's state fits one chunk's gather.
+_WALKER_BYTES = 768
+
+
+def _sizes(n: int) -> tuple[int, int]:
+    """(gather chunk, walking set) in blocks at block size n, (113, 113)
+    at n = 8 and (28, 168) at n = 16; a walking set is whole chunks."""
+    chunk = max(1, _BATCH_BYTES // (9 * n * n * 2))
+    return chunk, chunk * max(1, _BATCH_BYTES // _WALKER_BYTES // chunk)
 
 
 class _CachedCost:
@@ -106,40 +116,48 @@ def _ds_search(windows, block: BlockRef, w: int, seen, probe: SearchProbe | None
 
 
 class _Lockstep:
-    """A batch of blocks walking one pattern step at a time, in window
+    """A walking set of blocks taking one pattern step at a time, in window
     coordinates (x + u, y + v). Each block logs the cells it has costed
     and their SADs, in the order its scalar walk costs them, a cell packed
     in one key, Y * cols + X, which is unique inside the frame. A step
     compares its cells with the log, so the state per block is its own
-    costed cells at any search range."""
+    costed cells at any search range. A step runs a gather chunk of
+    blocks at a time, so what it allocates does not grow with the set."""
 
-    def __init__(self, cur, windows, batch: list[BlockRef], w: int):
+    def __init__(self, cur, windows, blocks: list[BlockRef], w: int, chunk: int):
         rows, cols, self.n, _ = windows.shape
-        self.windows, self.cols = windows, cols
-        x, y, _ = np.array(batch).T
-        # each block's own pixels, contiguous, so a cell's copy is one run
-        self.targets = sliding_window_view(cur, (self.n, self.n))[y, x]
-        self.anchor = np.array([x, y])[:, :, None]
+        self.windows, self.cols, self.chunk = windows, cols, chunk
+        self.cur = sliding_window_view(cur, (self.n, self.n))
+        # int32 keys, where they fit, halve the buffers that numpy's
+        # broadcast comparison with the log allocates; coordinates share
+        # their type, so no arithmetic casts; the least key marks an empty
+        # slot
+        key_type = np.int32 if rows * cols < np.iinfo(np.int32).max else np.int64
+        self.anchor = np.array(blocks, key_type).T[:2, :, None]
         self.at = self.anchor.copy()
         # (low or high, X or Y, block, 1): the valid box of each block
         self.box = np.array([np.maximum(self.anchor - w, 0),
-                             np.minimum(self.anchor + w, np.array([cols - 1, rows - 1])[:, None, None])])
-        # int32 keys, where they fit, halve the buffers that numpy's
-        # broadcast comparison with the log allocates; the least key
-        # marks an empty slot
-        key_type = np.int32 if rows * cols < np.iinfo(np.int32).max else np.int64
+                             np.minimum(self.anchor + w, np.array([cols - 1, rows - 1])[:, None, None])], key_type)
         self.empty = np.array(np.iinfo(key_type).min, key_type)
-        self.keys = np.full((len(batch), 9), self.empty)
-        self.sads = np.zeros((len(batch), 9), _sad_accumulator(self.n))
+        self.keys = np.full((len(blocks), 9), self.empty)
+        self.sads = np.zeros((len(blocks), 9), _sad_accumulator(self.n))
         # above any SAD of an n x n block, in the SADs' own dtype
         self.top = np.iinfo(self.sads.dtype).max
-        self.count = np.zeros(len(batch), np.intp)
+        self.count = np.zeros(len(blocks), np.intp)
 
     def scan(self, active, offsets):
         """Move each `active` block's center to the first minimum, in
         pattern order, of its cells center + offsets inside its box,
-        costing the unseen ones in one gather; return the minima's
-        pattern indices. offsets broadcasts to (2, blocks, pattern)."""
+        costing the unseen ones a gather chunk of blocks at a time; return
+        the minima's pattern indices. offsets is (2, blocks, pattern), or
+        (2, 1, pattern) for one pattern that every block takes."""
+        best = np.empty(len(active), np.intp)
+        for start in range(0, len(active), self.chunk):
+            part = slice(start, start + self.chunk)
+            best[part] = self._scan(active[part], offsets[:, part] if offsets.shape[1] > 1 else offsets)
+        return best
+
+    def _scan(self, active, offsets):
         cells = self.at[:, active] + offsets
         low, high = self.box[:, :, active]
         inside = ((low <= cells) & (cells <= high)).all(0)
@@ -150,24 +168,25 @@ class _Lockstep:
         values = self.sads[active[:, None], match.argmax(2)]
         del match
         if fresh.any():
-            blocks = active.repeat(fresh.sum(1))
-            values[fresh] = sads = self._cost(blocks, cells, fresh)
-            self._log(active, fresh, blocks, keys[fresh], sads)
+            owner = np.arange(len(active)).repeat(fresh.sum(1))
+            values[fresh] = sads = self._cost(active, owner, cells, fresh)
+            self._log(active, fresh, active[owner], keys[fresh], sads)
         values[~inside] = self.top
         best = values.argmin(1)
         self.at[:, active] = cells[:, np.arange(len(active)), best, None]
         return best
 
-    def _cost(self, blocks, cells, fresh):
-        """SADs of the `fresh` cells, in row-major order, of the batch's
-        `blocks`, from one gather."""
+    def _cost(self, active, owner, cells, fresh):
+        """SADs of the `fresh` cells, in row-major order, from one gather;
+        the i-th is a cell of block active[owner[i]]."""
         diff = self.windows[cells[1][fresh], cells[0][fresh]]
-        # a batch's worth of targets at a time: one per cell at once would
-        # double the gather's memory
-        size = len(self.targets)
-        for start in range(0, len(diff), size):
-            part = slice(start, start + size)
-            diff[part] -= self.targets[blocks[part]]
+        # the chunk's own pixels, contiguous, so a cell's copy is one run,
+        # subtracted a chunk's worth at a time: one copy per cell at once
+        # would double the gather's memory
+        targets = self.cur[self.anchor[1, active, 0], self.anchor[0, active, 0]]
+        for start in range(0, len(diff), len(targets)):
+            part = slice(start, start + len(targets))
+            diff[part] -= targets[owner[part]]
         return _abs_sum(diff, (1, 2), self.n)
 
     def _log(self, active, fresh, blocks, keys, sads):
@@ -184,18 +203,21 @@ class _Lockstep:
         self.sads[blocks, slots] = sads
 
     def seen(self):
-        """Each block's {cell: SAD} dict, one at a time: a batch's Python
-        ints at once would cost peak memory."""
-        v, u = np.divmod(self.keys, self.cols)
-        u -= self.anchor[0]
-        v -= self.anchor[1]
-        for us, vs, sads, count in zip(u, v, self.sads, self.count.tolist()):
-            yield dict(zip(zip(us[:count].tolist(), vs[:count].tolist()), sads[:count].tolist()))
+        """Each block's {cell: SAD} dict, one at a time, decoded a chunk at
+        a time: a walking set's at once would cost peak memory."""
+        for start in range(0, len(self.keys), self.chunk):
+            rows = slice(start, start + self.chunk)
+            v, u = np.divmod(self.keys[rows], self.cols)
+            u -= self.anchor[0, rows]
+            v -= self.anchor[1, rows]
+            for us, vs, sads, count in zip(u, v, self.sads[rows], self.count[rows].tolist()):
+                yield dict(zip(zip(us[:count].tolist(), vs[:count].tolist()), sads[:count].tolist()))
 
 
 def _tss_lockstep(walk: _Lockstep, w: int) -> None:
     every = np.arange(len(walk.keys))
-    walk.scan(every, 0)
+    # the origin: the unit grid's centre cell, (0, 0)
+    walk.scan(every, _GRID_OFFSETS[:, :, 4:5])
     step = (w + 1) // 2
     while step >= 1:
         walk.scan(every, _GRID_OFFSETS * step)
@@ -214,18 +236,19 @@ def _ds_lockstep(walk: _Lockstep, w: int) -> None:
 
 
 def _search(algorithm: str, cur, windows, blocks: list[BlockRef], w: int, probe: SearchProbe | None = None):
-    """Yield each block's tss or ds result in order. A batch of blocks
-    walks in lockstep, one gather per pattern step for the blocks still
-    walking (tss's origin and grids; ds's large diamonds until each
-    block's minimum stays central, then its small diamond), and then each
-    block replays its walk from the {cell: SAD} dict it costed."""
+    """Yield each block's tss or ds result in order. A walking set of
+    blocks (`_sizes`) walks in lockstep, one pattern step at a time for
+    the blocks still walking (tss's origin and grids; ds's large diamonds
+    until each block's minimum stays central, then its small diamond),
+    one gather per chunk of them, so a block whose walk has ended costs a
+    step nothing. Then each block replays its walk from the {cell: SAD}
+    dict it costed."""
     # looked up per call, so a replaced module attribute sees every block
     search = _tss_search if algorithm == "tss" else _ds_search
     lockstep = _tss_lockstep if algorithm == "tss" else _ds_lockstep
-    n = windows.shape[2]
-    size = max(1, _BATCH_BYTES // (9 * n * n * 2))
+    chunk, size = _sizes(windows.shape[2])
     for start in range(0, len(blocks), size):
-        walk = _Lockstep(cur, windows, batch := blocks[start : start + size], w)
+        walk = _Lockstep(cur, windows, batch := blocks[start : start + size], w, chunk)
         lockstep(walk, w)
         for block, seen in zip(batch, walk.seen()):
             yield search(windows, block, w, seen, probe)

@@ -239,12 +239,16 @@ class TestScalarReference:
 
 
 def frame_cases():
-    """(current, previous, n, w) pairs for the frame-level searches: more
-    blocks than one batch at n = 8 (113) and n = 16 (28), a window wider
-    than the frame, constant frames where every cost ties, sizes that leave
-    remainder pixels, and one batch whose walks end far apart: its
-    constant top half stops after one large diamond while its textured
-    bottom half walks towards (-11, 9)."""
+    """(current, previous, n, w) pairs for the frame-level searches. By
+    `baselines._sizes`, `n8_batches` spans more than one walking set at
+    n = 8, `n16_batches` more than one gather chunk of one walking set at
+    n = 16, and `n16_walking_sets` more than one walking set at n = 16.
+    Also: a window wider than the frame, constant frames where every cost
+    ties, sizes that leave remainder pixels, and walks that end far apart.
+    `walks_end_apart`'s constant top half stops after one large diamond
+    while its textured bottom half walks towards (-11, 9); in each chunk of
+    `n16_walking_sets`, constant left blocks stop as soon while textured
+    right blocks walk towards (11, -9)."""
     rng = np.random.default_rng(28)
     textured = rolled_pair(rng, 104, 136, 3, -2)
     noise = rng.integers(0, 256, (2, 24, 24), dtype=np.uint8)
@@ -252,6 +256,10 @@ def frame_cases():
     half_flat = rolled_pair(rng, 72, 96, -11, 9)
     for frame in half_flat:
         frame[:32] = 128
+    rows = baselines._sizes(16)[1] // 14 + 1
+    left_flat = rolled_pair(rng, 16 * rows, 16 * 14, 11, -9)
+    for frame in left_flat:
+        frame[:, : 16 * 7] = 128
     return {
         "n8_batches": (*textured, 8, 7),
         "n16_batches": (*textured, 16, 7),
@@ -260,10 +268,37 @@ def frame_cases():
         "constant_w1": (flat, flat.copy(), 5, 1),
         "odd_sizes": (*rng.integers(0, 256, (2, 45, 67), dtype=np.uint8), 6, 11),
         "walks_end_apart": (*half_flat[::-1], 8, 16),
+        "n16_walking_sets": (*left_flat[::-1], 16, 16),
     }
 
 
 FRAME_CASES = frame_cases()
+
+
+@st.composite
+def frame_pairs(draw):
+    """A random small frame pair with its block size and search range."""
+    n = draw(st.integers(1, 11))
+    height = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
+    width = n * draw(st.integers(1, 3)) + draw(st.integers(0, n - 1))
+    current = draw(arrays(np.uint8, (height, width)))
+    previous = draw(arrays(np.uint8, (height, width)))
+    return current, previous, n, draw(st.integers(1, 11))
+
+
+def lockstep_peak(monkeypatch, algorithm, current, previous, n):
+    """tracemalloc's peak over walking the frame's blocks in lockstep at
+    w = 16, with each block's replay stubbed out."""
+    cur, windows = _widen(current, previous, n)
+    blocks = partition(current, n)
+    monkeypatch.setattr(baselines, f"_{algorithm}_search", lambda *args: None)
+    tracemalloc.start()
+    try:
+        for _ in baselines._search(algorithm, cur, windows, blocks, 16):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBatchedFirstStep:
@@ -275,17 +310,46 @@ class TestBatchedFirstStep:
         for block, result in zip(partition(current, n), results, strict=True):
             assert result == scalar_search(algorithm, current, previous, block, w)[0]
 
+    def test_cases_cross_the_boundaries_they_name(self):
+        def blocks(case):
+            current, _, n, _ = FRAME_CASES[case]
+            return len(partition(current, n))
+
+        chunk_8, walking_8 = baselines._sizes(8)
+        chunk_16, walking_16 = baselines._sizes(16)
+        assert walking_8 < blocks("n8_batches")
+        assert chunk_16 < blocks("n16_batches") <= walking_16 < blocks("n16_walking_sets")
+        # in every chunk of n16_walking_sets' first walking set, one walk
+        # ends after a large and a small diamond, 13 cells at most, and
+        # another runs on
+        current, previous, n, w = FRAME_CASES["n16_walking_sets"]
+        _, results = estimate_frame(current, previous, SearchConfig(w=w, n=n), "ds")
+        for start in range(0, walking_16, chunk_16):
+            evaluations = [r.evaluations for r in results[start : start + chunk_16]]
+            assert min(evaluations) <= 13
+            assert max(evaluations) >= 30
+
     @BASELINES
     @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_random_frame_matches_one_cell_oracle(self, algorithm, data):
-        n = data.draw(st.integers(1, 11))
-        height = n * data.draw(st.integers(1, 3)) + data.draw(st.integers(0, n - 1))
-        width = n * data.draw(st.integers(1, 3)) + data.draw(st.integers(0, n - 1))
-        current = data.draw(arrays(np.uint8, (height, width)))
-        previous = data.draw(arrays(np.uint8, (height, width)))
-        w = data.draw(st.integers(1, 11))
+    @given(frame_pairs())
+    def test_random_frame_matches_one_cell_oracle(self, algorithm, case):
+        current, previous, n, w = case
         _, results = estimate_frame(current, previous, SearchConfig(w=w, n=n), algorithm)
+        for block, result in zip(partition(current, n), results, strict=True):
+            assert result == scalar_search(algorithm, current, previous, block, w)[0]
+
+    @BASELINES
+    @settings(max_examples=40, deadline=None)
+    @given(frame_pairs(), st.integers(2, 4))
+    def test_results_do_not_depend_on_batching(self, algorithm, case, walking):
+        # A gather chunk of one block and a walking set of a few, so a
+        # small random frame crosses both boundaries, mid-row included.
+        current, previous, n, w = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baselines, "_BATCH_BYTES", 9 * n * n * 2)
+            patch.setattr(baselines, "_WALKER_BYTES", 9 * n * n * 2 // walking)
+            assert baselines._sizes(n) == (1, walking)
+            _, results = estimate_frame(current, previous, SearchConfig(w=w, n=n), algorithm)
         for block, result in zip(partition(current, n), results, strict=True):
             assert result == scalar_search(algorithm, current, previous, block, w)[0]
 
@@ -320,19 +384,20 @@ class TestBatchedFirstStep:
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_first_step_batch_memory_is_bounded(self, monkeypatch, algorithm, n):
         # Walking a 640x360 frame's blocks in lockstep, with each replay
-        # stubbed out, holds one batch at a time, so its peak stays near the
-        # byte budget whatever the block size and however long ds's walks
-        # run; batches of a fixed block count would not.
+        # stubbed out, holds one walking set's state and one gather chunk
+        # at a time, so its peak stays near the byte budget whatever the
+        # block size; walking sets or chunks of a fixed block count would
+        # not. On noise ds stops after about one large diamond.
         rng = np.random.default_rng(n)
         current, previous = rng.integers(0, 256, (2, 360, 640), dtype=np.uint8)
-        cur, windows = _widen(current, previous, n)
-        blocks = partition(current, n)
-        monkeypatch.setattr(baselines, f"_{algorithm}_search", lambda *args: None)
-        tracemalloc.start()
-        try:
-            for _ in baselines._search(algorithm, cur, windows, blocks, 16):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = lockstep_peak(monkeypatch, algorithm, current, previous, n)
+        assert peak <= 2 * baselines._BATCH_BYTES
+
+    @BASELINES
+    def test_long_walk_memory_is_bounded(self, monkeypatch, algorithm):
+        # A smooth texture translated by (11, -9), the nhd-w16 geometry: ds
+        # walks about ten large diamonds, so every block's log grows across
+        # the whole walking set.
+        current, previous = rolled_pair(np.random.default_rng(31), 360, 640, 11, -9)[::-1]
+        peak = lockstep_peak(monkeypatch, algorithm, current, previous, 16)
         assert peak <= 2 * baselines._BATCH_BYTES
