@@ -37,7 +37,8 @@ _GRID = tuple((du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1))
 # (axis 1), and _GRID_OFFSETS[axis, 0, cell] the unit grid. The small
 # diamond is padded with its center, which its large diamond costed and
 # which wins every tie as the first cell, so padding is neither costed
-# nor picked.
+# nor picked. tss scales the grid in the lockstep's coordinate dtype:
+# int64 would widen every cell and key, and int8 wrap past step 127.
 _DIAMONDS = np.array([_LARGE_DIAMOND, _SMALL_DIAMOND + ((0, 0),) * 4], np.int8).transpose(2, 0, 1)
 _GRID_OFFSETS = np.array(_GRID).T[:, None, :]
 # Bytes of one gather chunk's compacted (F, n, n) int16 gather: a step
@@ -216,11 +217,12 @@ class _Lockstep:
 
 def _tss_lockstep(walk: _Lockstep, w: int) -> None:
     every = np.arange(len(walk.keys))
+    grid = _GRID_OFFSETS.astype(walk.at.dtype)
     # the origin: the unit grid's centre cell, (0, 0)
-    walk.scan(every, _GRID_OFFSETS[:, :, 4:5])
+    walk.scan(every, grid[:, :, 4:5])
     step = (w + 1) // 2
     while step >= 1:
-        walk.scan(every, _GRID_OFFSETS * step)
+        walk.scan(every, grid * step)
         step //= 2
 
 

@@ -5,10 +5,10 @@ A new position is truly evaluated when the best point seen so far is one
 of its nearest recorded neighbors (worth refining), also when other
 records lie at the same distance, or when no record lies within the
 distance threshold D (nothing to copy from); otherwise its fitness is
-copied from the earliest nearest neighbor. Fitness is nonnegative, so a
-truly evaluated 0 leaves nothing to refine: from then on, near positions
-are copied. Estimated entries join the store too, so later queries may
-chain off them.
+copied from the earliest nearest neighbor. The best is always truly
+evaluated and fitness is nonnegative, so a best of 0 leaves nothing to
+refine: from then on, near positions are copied. Estimated entries join
+the store too, so later queries may chain off them.
 
 The store indexes its records by position: a request for a position
 already stored is answered by one lookup, and any other request measures
@@ -54,18 +54,11 @@ _NEAR_BEST, _UNEXPLORED, _NEIGHBOR_COPY = Rule
 
 @dataclass(slots=True)
 class EvaluationRecord:
+    """One request's outcome; only `fitness_of` writes records."""
+
     position: Position
     fitness: float
     kind: str
-
-    def __post_init__(self):
-        if self.fitness < 0:
-            raise ValueError(f"fitness must be nonnegative, got {self.fitness}")
-        u, v = self.position
-        if not (math.isfinite(u) and math.isfinite(v)):
-            raise ValueError(f"position must be finite, got {self.position}")
-        if self.kind not in (EVALUATED, ESTIMATED):
-            raise ValueError(f"unknown record kind {self.kind!r}")
 
 
 @dataclass
@@ -75,7 +68,8 @@ class HistoryStore:
     A store starts empty and records enter only through `append`.
     best_index always points at the minimal fitness over all records,
     evaluated and estimated alike; ties keep the earliest insertion, and
-    `records[best_index]` is the best record.
+    `records[best_index]` is the best record, always an evaluated one:
+    `fitness_of` evaluates the first request, and a copy never lowers the best.
     `positions` maps each distinct stored position, in the order it was
     first stored, to the index of its earliest record; DE-BM's repair
     reads it as the set of cells requested so far.
@@ -89,7 +83,7 @@ class HistoryStore:
         records = self.records
         records.append(record)
         index = len(records) - 1
-        self.positions.setdefault(tuple(record.position), index)
+        self.positions.setdefault(record.position, index)
         if self.best_index is None or record.fitness < records[self.best_index].fitness:
             self.best_index = index
 
@@ -102,7 +96,7 @@ class HistoryStore:
         A stored position is found by lookup at distance 0.0; otherwise
         each distinct position is measured once.
         """
-        index = self.positions.get(tuple(position))
+        index = self.positions.get(position)
         if index is not None:
             return index, self.records[index], 0.0
         if not self.positions:
@@ -122,14 +116,14 @@ def classify(store: HistoryStore, position: Position, hit: tuple | None) -> Rule
     record seen so far lying at the nearest distance means NEAR_BEST
     (evaluate, to keep refining the minimum), even when other records are
     equally near and `nearest` names one of them; any other near record
-    means NEIGHBOR_COPY. A best record that was truly evaluated at 0, the
-    least fitness a record can hold, cannot be refined, so a position
-    near it is a NEIGHBOR_COPY too.
+    means NEIGHBOR_COPY. The best record was truly evaluated (see
+    `HistoryStore`), so a best at 0, the least fitness a record can hold,
+    cannot be refined, and a position near it is a NEIGHBOR_COPY too.
     """
     if hit is None or hit[2] > D:
         return _UNEXPLORED
     best = store.records[store.best_index]
-    if best.fitness == 0 and best.kind == EVALUATED:
+    if best.fitness == 0:
         return _NEIGHBOR_COPY
     if hit[0] == store.best_index or math.dist(best.position, position) == hit[2]:
         return _NEAR_BEST
@@ -157,7 +151,7 @@ def fitness_of(
         value = hit[1].fitness
         kind = ESTIMATED
     else:
-        value = float(objective(position))
+        value = objective(position)
         kind = EVALUATED
-    store.append(EvaluationRecord(tuple(position), value, kind))
+    store.append(EvaluationRecord(position, value, kind))
     return value

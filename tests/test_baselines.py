@@ -288,7 +288,8 @@ def frame_pairs(draw):
 
 def lockstep_peak(monkeypatch, algorithm, current, previous, n):
     """tracemalloc's peak over walking the frame's blocks in lockstep at
-    w = 16, with each block's replay stubbed out."""
+    w = 16, with each block's replay stubbed out. It is printed, so
+    `pytest -k memory -rP` lists every case's peak."""
     cur, windows = _widen(current, previous, n)
     blocks = partition(current, n)
     monkeypatch.setattr(baselines, f"_{algorithm}_search", lambda *args: None)
@@ -296,9 +297,11 @@ def lockstep_peak(monkeypatch, algorithm, current, previous, n):
     try:
         for _ in baselines._search(algorithm, cur, windows, blocks, 16):
             pass
-        return tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    print(f"lockstep peak: {algorithm} n={n} {peak} B")
+    return peak
 
 
 class TestBatchedFirstStep:
@@ -379,6 +382,27 @@ class TestBatchedFirstStep:
         _, results = estimate_frame(current, previous, SearchConfig(w=w, n=n), algorithm)
         assert in_calls[0] == 0
         assert summed[0] == sum(r.evaluations for r in results)
+
+    @BASELINES
+    def test_steps_keep_the_coordinate_dtype(self, monkeypatch, algorithm):
+        # Every step adds its offsets to the walk's coordinates. tss scales
+        # its grid, so it takes the grid in their dtype, and no cell or key
+        # widens to int64. ds's unscaled int8 diamonds add without widening,
+        # and in the coordinate dtype each step's indexed copy would be 4x.
+        dtypes = []
+        scan = baselines._Lockstep._scan
+
+        def recording(walk, active, offsets):
+            dtypes.append((offsets.dtype, walk.at.dtype))
+            return scan(walk, active, offsets)
+
+        monkeypatch.setattr(baselines._Lockstep, "_scan", recording)
+        current, previous, n, w = FRAME_CASES["n8_batches"]
+        estimate_frame(current, previous, SearchConfig(w=w, n=n), algorithm)
+        assert dtypes
+        for offsets, coordinates in dtypes:
+            assert np.promote_types(offsets, coordinates) == coordinates
+            assert algorithm == "ds" or offsets == coordinates
 
     @BASELINES
     @pytest.mark.parametrize("n", [8, 16, 64])

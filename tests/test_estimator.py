@@ -57,20 +57,6 @@ class TestParams:
         assert estimator.D == 2.5
 
 
-class TestRecord:
-    def test_negative_fitness_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationRecord((0.0, 0.0), -1.0, EVALUATED)
-
-    def test_non_finite_position_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationRecord((math.inf, 0.0), 1.0, EVALUATED)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationRecord((0.0, 0.0), 1.0, "guessed")
-
-
 class TestNearest:
     def test_empty_store(self):
         assert HistoryStore().nearest((0.0, 0.0)) is None
@@ -183,11 +169,6 @@ class TestClassify:
         assert rule_at(store, (1.0, 0.0)) is Rule.NEIGHBOR_COPY
         assert rule_at(store, (0.0, 0.0)) is Rule.NEIGHBOR_COPY
         assert rule_at(store, (0.0, 5.0)) is Rule.UNEXPLORED
-
-    def test_estimated_zero_best_is_still_refined(self):
-        store = store_of(((0.0, 0.0), 40.0))
-        store.append(EvaluationRecord((2.0, 0.0), 0.0, ESTIMATED))
-        assert rule_at(store, (3.0, 0.0)) is Rule.NEAR_BEST
 
     def test_threshold_distance_is_inclusive(self):
         store = store_of(((0.0, 0.0), 50.0))

@@ -933,6 +933,40 @@ def search_cases(draw):
     return current, previous, config, index
 
 
+class TestHistoryStoreContents:
+    @settings(max_examples=60, deadline=None)
+    @given(search_cases())
+    def test_every_record_is_one_a_search_can_make(self, case):
+        # `estimator` checks no record: `fitness_of`, the store's only
+        # writer, must make every record this way, and `classify`'s
+        # zero-best rule rests on the best being evaluated.
+        current, previous, config, _ = case
+        height, width = current.shape
+        blocks = iter(partition(current, config.n))
+        stores, append = [], estimator.HistoryStore.append
+
+        def checking(store, record):
+            append(store, record)
+            if not stores or store is not stores[-1][0]:
+                stores.append((store, next(blocks)))
+            block = stores[-1][1]
+            umin, umax, vmin, vmax = mv_bounds(block, width, height, config.w)
+            u, v = record.position
+            assert type(record.position) is tuple and type(u) is type(v) is int
+            assert umin <= u <= umax and vmin <= v <= vmax
+            if record.kind == EVALUATED:
+                assert record.fitness == sad(current, previous, block, (u, v))
+            else:
+                assert record.kind == ESTIMATED
+                assert record.fitness in [r.fitness for r in store.records[:-1]]
+            assert store.records[store.best_index].kind == EVALUATED
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator.HistoryStore, "append", checking)
+            estimate_frame(current, previous, config, "debm")
+        assert next(blocks, None) is None
+
+
 class TestSearchBlock:
     @settings(max_examples=60, deadline=None)
     @given(search_cases())
