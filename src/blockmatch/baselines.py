@@ -4,10 +4,10 @@ Both share the SAD cost, skip candidates outside the valid displacement
 region, cost a position at most once, and report the same per-block
 accounting as the other algorithms. `_search` runs them over a frame's
 blocks or one, for `motion._search_blocks`: it walks a walking set of
-blocks in lockstep, costing each pattern step's unseen in-box cells of
-every block still walking a gather chunk at a time, one gather each from
-the shared window view, then replays each block's walk through
-`_tss_search` or `_ds_search`, which look the costs up.
+blocks in lockstep, each step one pattern for every block still walking,
+costing its unseen in-box cells a gather chunk of blocks at a time, one
+gather each from the shared window view, then replays each block's walk
+through `_tss_search` or `_ds_search`, which look the costs up.
 A SAD here is exactly the one `motion.sad` computes, summed by `_abs_sum`.
 """
 
@@ -32,15 +32,12 @@ _LARGE_DIAMOND = ((0, 0), (0, -2), (-1, -1), (1, -1), (-2, 0), (2, 0), (-1, 1), 
 _SMALL_DIAMOND = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
 # Three-step search's 9-point grid in v-major order, scaled by each step.
 _GRID = tuple((du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1))
-# The lockstep's patterns as offset tables: _DIAMONDS[axis, kind, cell]
-# holds the large (kind 0) and small (kind 1) diamond's u (axis 0) and v
-# (axis 1), and _GRID_OFFSETS[axis, 0, cell] the unit grid. The small
-# diamond is padded with its center, which its large diamond costed and
-# which wins every tie as the first cell, so padding is neither costed
-# nor picked. tss scales the grid in the lockstep's coordinate dtype:
-# int64 would widen every cell and key, and int8 wrap past step 127.
-_DIAMONDS = np.array([_LARGE_DIAMOND, _SMALL_DIAMOND + ((0, 0),) * 4], np.int8).transpose(2, 0, 1)
-_GRID_OFFSETS = np.array(_GRID).T[:, None, :]
+# The lockstep's patterns as (axis, 1, cell) offset tables, u on axis 0
+# and v on axis 1, that every block of a step shares. They are int32, the
+# walk's coordinate dtype below 2**31 window positions: int64 would widen
+# every cell and key, and int8 wrap past tss step 127.
+_LARGE_OFFSETS, _SMALL_OFFSETS, _GRID_OFFSETS = (
+    np.array(pattern, np.int32).T[:, None, :] for pattern in (_LARGE_DIAMOND, _SMALL_DIAMOND, _GRID))
 # Bytes of one gather chunk's compacted (F, n, n) int16 gather: a step
 # costs at most 9 cells of each of a chunk's blocks.
 _BATCH_BYTES = 128 * 1024
@@ -136,9 +133,11 @@ class _Lockstep:
         key_type = np.int32 if rows * cols < np.iinfo(np.int32).max else np.int64
         self.anchor = np.array(blocks, key_type).T[:2, :, None]
         self.at = self.anchor.copy()
-        # (low or high, X or Y, block, 1): the valid box of each block
-        self.box = np.array([np.maximum(self.anchor - w, 0),
-                             np.minimum(self.anchor + w, np.array([cols - 1, rows - 1])[:, None, None])], key_type)
+        # (low or high, X or Y, block, 1): the valid box of each block; any
+        # range past the view's extent, rows + cols, boxes as the extent does
+        self.reach = min(w, rows + cols)
+        self.box = np.array([np.maximum(self.anchor - self.reach, 0),
+                             np.minimum(self.anchor + self.reach, np.array([cols - 1, rows - 1])[:, None, None])], key_type)
         self.empty = np.array(np.iinfo(key_type).min, key_type)
         self.keys = np.full((len(blocks), 9), self.empty)
         self.sads = np.zeros((len(blocks), 9), _sad_accumulator(self.n))
@@ -150,12 +149,12 @@ class _Lockstep:
         """Move each `active` block's center to the first minimum, in
         pattern order, of its cells center + offsets inside its box,
         costing the unseen ones a gather chunk of blocks at a time; return
-        the minima's pattern indices. offsets is (2, blocks, pattern), or
-        (2, 1, pattern) for one pattern that every block takes."""
+        the minima's pattern indices. offsets is (2, 1, pattern): every
+        block takes the same pattern."""
         best = np.empty(len(active), np.intp)
         for start in range(0, len(active), self.chunk):
             part = slice(start, start + self.chunk)
-            best[part] = self._scan(active[part], offsets[:, part] if offsets.shape[1] > 1 else offsets)
+            best[part] = self._scan(active[part], offsets)
         return best
 
     def _scan(self, active, offsets):
@@ -163,7 +162,7 @@ class _Lockstep:
         low, high = self.box[:, :, active]
         inside = ((low <= cells) & (cells <= high)).all(0)
         # a cell outside its box may wrap to any key; it is never logged
-        keys = (cells[1] * self.cols + cells[0]).astype(self.keys.dtype)
+        keys = cells[1] * self.cols + cells[0]
         match = keys[:, :, None] == self.keys[active, None, :]
         fresh = inside & ~match.any(2)
         values = self.sads[active[:, None], match.argmax(2)]
@@ -217,34 +216,31 @@ class _Lockstep:
 
 def _tss_lockstep(walk: _Lockstep, w: int) -> None:
     every = np.arange(len(walk.keys))
-    grid = _GRID_OFFSETS.astype(walk.at.dtype)
     # the origin: the unit grid's centre cell, (0, 0)
-    walk.scan(every, grid[:, :, 4:5])
+    walk.scan(every, _GRID_OFFSETS[:, :, 4:5])
     step = (w + 1) // 2
     while step >= 1:
-        walk.scan(every, grid * step)
+        # a step past the walk's reach leaves only the centre in any box
+        walk.scan(every, _GRID_OFFSETS * min(step, walk.reach))
         step //= 2
 
 
 def _ds_lockstep(walk: _Lockstep, w: int) -> None:
-    # small[i] is 1 once block i's large diamond stays central
-    small = np.zeros(len(walk.keys), np.intp)
-    active = np.arange(len(walk.keys))
+    # large diamonds until each block's minimum stays, then one small for all
+    every = active = np.arange(len(walk.keys))
     while active.size:
-        kind = small[active]
-        best = walk.scan(active, _DIAMONDS[:, kind])
-        small[active[best == 0]] = 1
-        active = active[kind == 0]
+        active = active[walk.scan(active, _LARGE_OFFSETS) != 0]
+    walk.scan(every, _SMALL_OFFSETS)
 
 
 def _search(algorithm: str, cur, windows, blocks: list[BlockRef], w: int, probe: SearchProbe | None = None):
     """Yield each block's tss or ds result in order. A walking set of
-    blocks (`_sizes`) walks in lockstep, one pattern step at a time for
-    the blocks still walking (tss's origin and grids; ds's large diamonds
-    until each block's minimum stays central, then its small diamond),
-    one gather per chunk of them, so a block whose walk has ended costs a
-    step nothing. Then each block replays its walk from the {cell: SAD}
-    dict it costed."""
+    blocks (`_sizes`) walks in lockstep, one shared pattern step at a time
+    for the blocks still walking (tss's origin and grids; ds's large
+    diamonds until each block's minimum stays central, then one small
+    diamond for every block), one gather per chunk of them, so a block
+    whose large walk has ended costs a step nothing. Then each block
+    replays its walk from the {cell: SAD} dict it costed."""
     # looked up per call, so a replaced module attribute sees every block
     search = _tss_search if algorithm == "tss" else _ds_search
     lockstep = _tss_lockstep if algorithm == "tss" else _ds_lockstep

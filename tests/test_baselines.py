@@ -243,8 +243,9 @@ def frame_cases():
     `baselines._sizes`, `n8_batches` spans more than one walking set at
     n = 8, `n16_batches` more than one gather chunk of one walking set at
     n = 16, and `n16_walking_sets` more than one walking set at n = 16.
-    Also: a window wider than the frame, constant frames where every cost
-    ties, sizes that leave remainder pixels, and walks that end far apart.
+    Also: a window wider than the frame, and ranges at and past int32's
+    maximum on that frame; constant frames where every cost ties, sizes
+    that leave remainder pixels, and walks that end far apart.
     `walks_end_apart`'s constant top half stops after one large diamond
     while its textured bottom half walks towards (-11, 9); in each chunk of
     `n16_walking_sets`, constant left blocks stop as soon while textured
@@ -264,6 +265,8 @@ def frame_cases():
         "n8_batches": (*textured, 8, 7),
         "n16_batches": (*textured, 16, 7),
         "w40_on_24x24": (*noise, 8, 40),
+        "w2147483647_on_24x24": (*noise, 8, 2**31 - 1),
+        "w5000000000_on_24x24": (*noise, 8, 5_000_000_000),
         "constant": (flat, flat, 8, 7),
         "constant_w1": (flat, flat.copy(), 5, 1),
         "odd_sizes": (*rng.integers(0, 256, (2, 45, 67), dtype=np.uint8), 6, 11),
@@ -385,24 +388,60 @@ class TestBatchedFirstStep:
 
     @BASELINES
     def test_steps_keep_the_coordinate_dtype(self, monkeypatch, algorithm):
-        # Every step adds its offsets to the walk's coordinates. tss scales
-        # its grid, so it takes the grid in their dtype, and no cell or key
-        # widens to int64. ds's unscaled int8 diamonds add without widening,
-        # and in the coordinate dtype each step's indexed copy would be 4x.
-        dtypes = []
-        scan = baselines._Lockstep._scan
+        # Every step adds its offsets to the walk's coordinates and packs
+        # the cells into keys, so offsets in the coordinate dtype keep every
+        # cell and key from widening to int64, and the keys it logs are
+        # already in the log's dtype.
+        dtypes, logged = [], []
+        scan, log = baselines._Lockstep._scan, baselines._Lockstep._log
 
         def recording(walk, active, offsets):
             dtypes.append((offsets.dtype, walk.at.dtype))
             return scan(walk, active, offsets)
 
+        def recording_log(walk, active, fresh, blocks, keys, sads):
+            logged.append((keys.dtype, walk.keys.dtype))
+            return log(walk, active, fresh, blocks, keys, sads)
+
         monkeypatch.setattr(baselines._Lockstep, "_scan", recording)
+        monkeypatch.setattr(baselines._Lockstep, "_log", recording_log)
         current, previous, n, w = FRAME_CASES["n8_batches"]
         estimate_frame(current, previous, SearchConfig(w=w, n=n), algorithm)
-        assert dtypes
+        assert dtypes and logged
         for offsets, coordinates in dtypes:
-            assert np.promote_types(offsets, coordinates) == coordinates
-            assert algorithm == "ds" or offsets == coordinates
+            assert offsets == coordinates
+        for keys, log_keys in logged:
+            assert keys == log_keys
+
+    @pytest.mark.parametrize("case", ["walks_end_apart", "n16_walking_sets"])
+    def test_ds_steps_are_the_longest_walk_in_each_walking_set(self, monkeypatch, case):
+        # ds walks every block's large diamonds in lockstep, then takes one
+        # small diamond for all of them, so a walking set's steps are its
+        # longest walk's pattern steps, large diamonds and small one, and
+        # no more: its replay's `_scan_min` calls.
+        scans, per_block = [0], []
+        scan, scan_min, ds_search = baselines._Lockstep.scan, baselines._scan_min, baselines._ds_search
+
+        def counting_scan(walk, active, offsets):
+            scans[0] += 1
+            return scan(walk, active, offsets)
+
+        def counting_scan_min(*args):
+            per_block[-1] += 1
+            return scan_min(*args)
+
+        def counting_ds_search(*args):
+            per_block.append(0)
+            return ds_search(*args)
+
+        monkeypatch.setattr(baselines._Lockstep, "scan", counting_scan)
+        monkeypatch.setattr(baselines, "_scan_min", counting_scan_min)
+        monkeypatch.setattr(baselines, "_ds_search", counting_ds_search)
+        current, previous, n, w = FRAME_CASES[case]
+        estimate_frame(current, previous, SearchConfig(w=w, n=n), "ds")
+        size = baselines._sizes(n)[1]
+        assert len(per_block) == len(partition(current, n))
+        assert scans[0] == sum(max(per_block[start : start + size]) for start in range(0, len(per_block), size))
 
     @BASELINES
     @pytest.mark.parametrize("n", [8, 16, 64])
