@@ -7,7 +7,9 @@ blocks or one, for `motion._search_blocks`: it walks a walking set of
 blocks in lockstep, each step one pattern for every block still walking,
 costing its unseen in-box cells a gather chunk of blocks at a time, one
 gather each from the shared window view, then replays each block's walk
-through `_tss_search` or `_ds_search`, which look the costs up.
+through `_tss_search` or `_ds_search`, which look the costs up. One byte
+budget per step, `_BATCH_BYTES`, sizes both the walking set's state and a
+chunk's gather (`_sizes`).
 A SAD here is exactly the one `motion.sad` computes, summed by `_abs_sum`.
 """
 
@@ -38,19 +40,25 @@ _GRID = tuple((du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1))
 # every cell and key, and int8 wrap past tss step 127.
 _LARGE_OFFSETS, _SMALL_OFFSETS, _GRID_OFFSETS = (
     np.array(pattern, np.int32).T[:, None, :] for pattern in (_LARGE_DIAMOND, _SMALL_DIAMOND, _GRID))
-# Bytes of one gather chunk's compacted (F, n, n) int16 gather: a step
-# costs at most 9 cells of each of a chunk's blocks.
-_BATCH_BYTES = 128 * 1024
+# Bytes of one lockstep step: a gather chunk's compacted (F, n, n) int16
+# gather, at most 9 cells of each of its blocks, and a walking set's state.
+# Most of a step's time is numpy's fixed cost per chunk, so the budget sets
+# how many blocks share it.
+_BATCH_BYTES = 512 * 1024
 # Bytes a walking set allows each block for its box, centre and a log of
-# about 90 cells, so that a walking set's state fits one chunk's gather.
+# about 90 cells, so that a walking set's state fits the step budget.
 _WALKER_BYTES = 768
 
 
 def _sizes(n: int) -> tuple[int, int]:
-    """(gather chunk, walking set) in blocks at block size n, (113, 113)
-    at n = 8 and (28, 168) at n = 16; a walking set is whole chunks."""
-    chunk = max(1, _BATCH_BYTES // (9 * n * n * 2))
-    return chunk, chunk * max(1, _BATCH_BYTES // _WALKER_BYTES // chunk)
+    """(gather chunk, walking set) in blocks at block size n: (682, 682)
+    at n <= 6, (455, 455) at n = 8 and (113, 678) at n = 16. A walking set
+    is whole chunks and at most `_BATCH_BYTES // _WALKER_BYTES` blocks,
+    682, so a chunk is capped there too: small blocks, whose gather is
+    cheap, still walk in sets whose state fits the budget."""
+    walkers = _BATCH_BYTES // _WALKER_BYTES
+    chunk = max(1, min(_BATCH_BYTES // (9 * n * n * 2), walkers))
+    return chunk, walkers // chunk * chunk
 
 
 class _CachedCost:

@@ -239,31 +239,35 @@ class TestScalarReference:
 
 
 def frame_cases():
-    """(current, previous, n, w) pairs for the frame-level searches. By
-    `baselines._sizes`, `n8_batches` spans more than one walking set at
-    n = 8, `n16_batches` more than one gather chunk of one walking set at
-    n = 16, and `n16_walking_sets` more than one walking set at n = 16.
-    Also: a window wider than the frame, and ranges at and past int32's
-    maximum on that frame; constant frames where every cost ties, sizes
-    that leave remainder pixels, and walks that end far apart.
+    """(current, previous, n, w) pairs for the frame-level searches. Sized
+    by `baselines._sizes`, whatever the byte budget: `n8_batches` spans
+    more than one walking set at n = 8, `n16_batches` more than one gather
+    chunk of one walking set at n = 16, and `n16_walking_sets` more than
+    one walking set at n = 16. Also: a window wider than the frame, and
+    ranges at and past int32's maximum on that frame; constant frames
+    where every cost ties, sizes that leave remainder pixels, and walks
+    that end far apart.
     `walks_end_apart`'s constant top half stops after one large diamond
     while its textured bottom half walks towards (-11, 9); in each chunk of
     `n16_walking_sets`, constant left blocks stop as soon while textured
     right blocks walk towards (11, -9)."""
     rng = np.random.default_rng(28)
-    textured = rolled_pair(rng, 104, 136, 3, -2)
+    walking_8 = baselines._sizes(8)[1]
+    chunk_16, walking_16 = baselines._sizes(16)
+    textured_8 = rolled_pair(rng, 8 * (walking_8 // 17 + 1), 8 * 17, 3, -2)
+    textured_16 = rolled_pair(rng, 16 * (chunk_16 // 17 + 1), 16 * 17, 3, -2)
     noise = rng.integers(0, 256, (2, 24, 24), dtype=np.uint8)
     flat = np.full((40, 56), 77, np.uint8)
     half_flat = rolled_pair(rng, 72, 96, -11, 9)
     for frame in half_flat:
         frame[:32] = 128
-    rows = baselines._sizes(16)[1] // 14 + 1
+    rows = walking_16 // 14 + 1
     left_flat = rolled_pair(rng, 16 * rows, 16 * 14, 11, -9)
     for frame in left_flat:
         frame[:, : 16 * 7] = 128
     return {
-        "n8_batches": (*textured, 8, 7),
-        "n16_batches": (*textured, 16, 7),
+        "n8_batches": (*textured_8, 8, 7),
+        "n16_batches": (*textured_16, 16, 7),
         "w40_on_24x24": (*noise, 8, 40),
         "w2147483647_on_24x24": (*noise, 8, 2**31 - 1),
         "w5000000000_on_24x24": (*noise, 8, 5_000_000_000),
@@ -443,16 +447,37 @@ class TestBatchedFirstStep:
         assert len(per_block) == len(partition(current, n))
         assert scans[0] == sum(max(per_block[start : start + size]) for start in range(0, len(per_block), size))
 
+    def test_tss_frame_shares_each_chunk_scan_among_many_blocks(self, monkeypatch):
+        # Most of a lockstep step's time is numpy's fixed cost per gather
+        # chunk, so the step budget sets how many blocks share it. A
+        # 640x360 frame's 880 blocks at n = 16 walk in two walking sets,
+        # 678 and 202 blocks, of 113-block chunks: tss's five steps at
+        # w = 16, its origin and four grids, take 8 chunk scans each.
+        scans = [0]
+        scan = baselines._Lockstep._scan
+
+        def counting_scan(walk, active, offsets):
+            scans[0] += 1
+            return scan(walk, active, offsets)
+
+        monkeypatch.setattr(baselines._Lockstep, "_scan", counting_scan)
+        current, previous = np.random.default_rng(34).integers(0, 256, (2, 360, 640), dtype=np.uint8)
+        estimate_frame(current, previous, SearchConfig(w=16, n=16), "tss")
+        assert scans[0] == 40
+
     @BASELINES
-    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
     def test_first_step_batch_memory_is_bounded(self, monkeypatch, algorithm, n):
-        # Walking a 640x360 frame's blocks in lockstep, with each replay
-        # stubbed out, holds one walking set's state and one gather chunk
-        # at a time, so its peak stays near the byte budget whatever the
-        # block size; walking sets or chunks of a fixed block count would
-        # not. On noise ds stops after about one large diamond.
+        # Walking a frame's blocks in lockstep, with each replay stubbed
+        # out, holds one walking set's state and one gather chunk at a time,
+        # so its peak stays near the byte budget whatever the block size;
+        # walking sets or chunks of a fixed block count would not. Small
+        # blocks walk a 64x96 frame, several walking sets at n = 1 and 2,
+        # the rest a 640x360 one. On noise ds stops after about one large
+        # diamond.
         rng = np.random.default_rng(n)
-        current, previous = rng.integers(0, 256, (2, 360, 640), dtype=np.uint8)
+        height, width = (64, 96) if n <= 4 else (360, 640)
+        current, previous = rng.integers(0, 256, (2, height, width), dtype=np.uint8)
         peak = lockstep_peak(monkeypatch, algorithm, current, previous, n)
         assert peak <= 2 * baselines._BATCH_BYTES
 
